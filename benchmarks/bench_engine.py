@@ -5,9 +5,12 @@ The epoch-aware :class:`repro.engine.Engine` adds a management layer on
 top of the streaming accumulators; this script measures what that layer
 costs so the service-shaped deployment can be sized:
 
-* **checkpoint size** -- bytes of the v2 envelope as a function of the
-  epoch count (each epoch is an independent accumulator shard);
-* **checkpoint/restore latency** -- serialize and rebuild the full engine;
+* **checkpoint size** -- bytes of the epoch store's per-epoch segments
+  as a function of the epoch count (each epoch is an independent
+  accumulator shard);
+* **checkpoint/restore latency** -- a store ``checkpoint()`` with every
+  epoch live and unwritten, and the manifest-only
+  ``Engine.open(None, store_dir=...)`` restart;
 * **window materialisation** -- how fast ``engine.estimator(window=...)``
   lazily merges a window of epochs and finalizes (windows/sec);
 * **windowed-query throughput** -- end-to-end queries/sec for a random
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable
@@ -76,6 +80,25 @@ def _build_engine(domain: int, epochs: int, users_per_epoch: int) -> Engine:
     return engine
 
 
+def _time_store_checkpoint(engine: Engine, root: Path, repeats: int):
+    """Best-of-``repeats`` full store checkpoint of ``engine``'s epochs.
+
+    Each repeat copies the live epochs into an engine over a fresh store
+    (untimed), then times the one ``checkpoint()`` that writes them all.
+    Returns ``(seconds, store_dir)`` of the last repeat.
+    """
+    best = float("inf")
+    for repeat in range(repeats):
+        store_dir = str(root / f"store-{repeat}")
+        stored = Engine.open(engine.spec(), store_dir=store_dir)
+        for epoch in engine.epochs:
+            stored.adopt_state(engine.session(epoch=epoch).snapshot(), epoch=epoch)
+        start = time.perf_counter()
+        stored.checkpoint()
+        best = min(best, time.perf_counter() - start)
+    return best, store_dir
+
+
 def run(preset: str, output: Path) -> dict:
     config = PRESETS[preset]
     domain = config["domain"]
@@ -89,12 +112,17 @@ def run(preset: str, output: Path) -> dict:
     )
     engine = _build_engine(domain, epochs, users)
 
-    blob = engine.to_bytes()
-    checkpoint_seconds = _time_best(engine.to_bytes, repeats)
-    restore_seconds = _time_best(lambda: Engine.from_bytes(blob), repeats)
-    restored = Engine.from_bytes(blob)
-    assert restored.epochs == engine.epochs
-    assert restored.n_reports() == epochs * users
+    with tempfile.TemporaryDirectory(prefix="bench-engine-") as root:
+        checkpoint_seconds, store_dir = _time_store_checkpoint(
+            engine, Path(root), repeats
+        )
+        restore_seconds = _time_best(
+            lambda: Engine.open(None, store_dir=store_dir), repeats
+        )
+        restored = Engine.open(None, store_dir=store_dir)
+        assert restored.epochs == engine.epochs
+        assert restored.n_reports() == epochs * users
+        store_bytes = restored.store.total_bytes()
 
     workload = random_range_workload(domain, config["workload"], np.random.default_rng(3))
     windows = {
@@ -142,8 +170,8 @@ def run(preset: str, output: Path) -> dict:
             "workload_queries": config["workload"],
         },
         "checkpoint": {
-            "bytes": len(blob),
-            "bytes_per_epoch": len(blob) / epochs,
+            "bytes": store_bytes,
+            "bytes_per_epoch": store_bytes / epochs,
             "checkpoint_ms": checkpoint_seconds * 1e3,
             "restore_ms": restore_seconds * 1e3,
         },
@@ -151,7 +179,7 @@ def run(preset: str, output: Path) -> dict:
     }
     output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(
-        f"checkpoint: {len(blob):,} bytes ({len(blob) / epochs:,.0f}/epoch), "
+        f"checkpoint: {store_bytes:,} bytes ({store_bytes / epochs:,.0f}/epoch), "
         f"write {checkpoint_seconds * 1e3:.2f} ms, restore "
         f"{restore_seconds * 1e3:.2f} ms"
     )

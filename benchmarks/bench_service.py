@@ -10,7 +10,7 @@ deployment-facing numbers the engine benchmark cannot see:
   load generator over keep-alive connections;
 * **ingest latency** -- client-observed p50/p99/max per ``POST /ingest``
   round trip;
-* **recovery time** -- wall clock from "checkpoint on disk" to "service
+* **recovery time** -- wall clock from "epoch store on disk" to "service
   restarted, all epochs restored, queries answering", i.e. the crash
   recovery budget;
 * **WAL overhead** -- the same ingest workload with the durable ingest
@@ -99,12 +99,9 @@ def run(preset: str, output: Path) -> dict:
         )
         epoch_blobs.append(blobs)
 
-    checkpoint = str(Path(tempfile.mkdtemp(prefix="bench-service-")) / "ckpt.bin")
+    store_dir = str(Path(tempfile.mkdtemp(prefix="bench-service-")) / "store")
     service = AggregationService(
-        spec,
-        num_workers=config["workers"],
-        checkpoint_path=checkpoint,
-        checkpoint_every=1,
+        spec, num_workers=config["workers"], store_dir=store_dir
     )
     epoch_results = []
     with ServiceThread(service) as handle:
@@ -139,18 +136,19 @@ def run(preset: str, output: Path) -> dict:
     ], "sharded service drifted from single-process ingestion"
     print("bit-identity vs single-process ingest: OK")
 
-    # recovery: checkpoint on disk -> restarted service answering queries
+    # recovery: epoch store on disk -> restarted service answering queries
     recovery_start = time.perf_counter()
-    restored = AggregationService.from_checkpoint(
-        checkpoint, num_workers=config["workers"]
+    restored = AggregationService.from_store(
+        store_dir, num_workers=config["workers"]
     )
     with ServiceThread(restored) as handle:
         request_json(handle.url + "/query?frequencies=1&window=all")
         recovery_seconds = time.perf_counter() - recovery_start
         assert list(restored.engine.epochs) == list(range(epochs))
         assert restored.engine.n_reports() == users_per_epoch * epochs
+        store_bytes = restored.engine.store.total_bytes()
     print(
-        f"recovery from checkpoint: {recovery_seconds * 1e3:,.0f} ms "
+        f"recovery from the epoch store: {recovery_seconds * 1e3:,.0f} ms "
         f"({epochs} epochs, {users_per_epoch * epochs:,} reports restored)"
     )
 
@@ -257,8 +255,8 @@ def run(preset: str, output: Path) -> dict:
             "latency_max_ms": max(all_latencies) if all_latencies else 0.0,
         },
         "recovery": {
-            "from_checkpoint_ms": recovery_seconds * 1e3,
-            "checkpoint_bytes": Path(checkpoint).stat().st_size,
+            "from_store_ms": recovery_seconds * 1e3,
+            "store_bytes": store_bytes,
             "epochs_restored": epochs,
         },
         "wal": {

@@ -7,13 +7,13 @@ traffic arrives continuously and the underlying distribution drifts.  The
 
 1. each *epoch* (here: a "day" of traffic) is absorbed into its own
    mergeable accumulator shard -- historical epochs are never touched;
-2. the whole service state is *checkpointed* to one durable file and
-   restored bit-identically, surviving process restarts;
-3. queries are answered over *windows* of epochs -- all-time, or a
+2. queries are answered over *windows* of epochs -- all-time, or a
    sliding ``last(k)`` -- by lazily merging exactly the selected shards;
-4. with ``store_dir=`` the same service runs *out of core*: each sealed
-   day spills to its own mmap segment file, the engine restarts from the
-   manifest alone, and windowed queries answer from disk bit-identically.
+3. with ``store_dir=`` the same service is *durable and out of core*:
+   each sealed day spills to its own mmap segment file, the engine
+   restarts from the manifest alone (``Engine.open(None,
+   store_dir=...)``), and windowed queries answer from disk
+   bit-identically.
 
 The population drifts upward over the week, so the sliding window tracks
 the current median while the all-time estimate lags behind it.
@@ -62,13 +62,6 @@ def main() -> None:
         engine.session(epoch=day).absorb(items, rng=rng)
     print(f"service state: {engine.describe()}")
 
-    # --- durability: checkpoint, forget everything, restore ------------ #
-    path = os.path.join(tempfile.mkdtemp(), "service.ckpt")
-    engine.checkpoint(path)
-    print(f"checkpoint written: {os.path.getsize(path):,} bytes -> {path}")
-    engine = Engine.restore(path)
-    print(f"restored:      {engine.describe()}")
-
     # --- windowed queries: sliding window vs all-time ------------------ #
     print()
     print(f"{'day':>4} {'true median':>12} {'last-2 window':>14} {'all-time':>9}")
@@ -98,7 +91,7 @@ def main() -> None:
         },
     )
 
-    # --- the same week, out of core ------------------------------------ #
+    # --- the same week, durable and out of core ------------------------ #
     # Seal each day into its own segment file: live memory stays O(1) in
     # the number of days, restart reads only the manifest, and the
     # windowed answers match the in-RAM engine bit for bit.
@@ -116,7 +109,9 @@ def main() -> None:
     print(f"epoch store: {len(stored.sealed_epochs)} sealed segments, "
           f"{stored.store.total_bytes():,} bytes in {store_dir}")
 
-    restored = Engine.restore(store_dir)  # lazy: no segment is read yet
+    # Restart: lazy, so no segment is read until a window needs it.
+    restored = Engine.open(None, store_dir=store_dir)
+    print(f"restored:      {restored.describe()}")
     answer = restored.estimator(window=last(2)).quantile_query(0.5)
     print("last-2-day median from sealed segments:", answer)
     print("matches the in-RAM engine:", answer == recent.quantile_query(0.5))

@@ -51,8 +51,7 @@ Server state is serializable (``server.to_bytes()`` /
 across processes or machines and resumed across restarts.  For one-shot
 scripts, ``protocol.run(items)`` wraps one client plus one server, and
 ``protocol.simulate_aggregate(counts)`` produces a statistically
-equivalent estimator directly from the true histogram
-(``run_simulated`` remains as a deprecated alias).
+equivalent estimator directly from the true histogram.
 
 The aggregation-service façade
 ------------------------------
@@ -65,9 +64,6 @@ rather than one-shot runs.  :class:`repro.engine.Engine` is that layer::
     engine = Engine.open("hh", domain_size=1024, epsilon=1.1, branching=4)
     for day, batch in enumerate(daily_batches):        # epoch per day
         engine.session(epoch=day).absorb(batch, rng=rng)
-    engine.checkpoint("service.ckpt")                  # durable v2 envelope
-
-    engine = Engine.restore("service.ckpt")
     weekly = engine.estimator(window=last(7))          # lazy exact merge
     print(weekly.range_query((100, 400)))
 
@@ -75,14 +71,13 @@ Each epoch is an independent mergeable accumulator shard; windowed
 queries merge the selected epochs lazily (exactly -- integer sufficient
 statistics) and feed the estimators' batch query kernels unchanged.  A
 single-epoch ``window="all"`` engine is bit-identical to the plain
-client/server session path, and pre-engine v1 state files restore as
-single-epoch engines.  The CLI mirrors the façade with
+client/server session path.  The CLI mirrors the façade with
 ``engine checkpoint`` / ``engine query`` / ``engine info`` subcommands.
 
-For histories too large for RAM, ``Engine.open(..., store_dir=...)``
-attaches the *out-of-core epoch store*: sealed epochs spill into
-per-epoch memory-mapped segment files under a versioned manifest,
-``checkpoint()`` becomes incremental (only dirty epochs rewrite), and
+Durable state lives in one format, the *out-of-core epoch store*
+attached by ``Engine.open(..., store_dir=...)``: sealed epochs spill
+into per-epoch memory-mapped segment files under an fsync'd manifest,
+``checkpoint()`` is incremental (only dirty epochs rewrite), and
 windowed queries over sealed epochs sum each segment's pre-aggregated
 integer vectors instead of rebuilding full accumulators -- bit-identical
 to the in-RAM merge, at O(window) memory.  Sealed runs additionally fold
@@ -95,10 +90,11 @@ faster than the per-epoch sum at the default benchmark preset)::
     for day, batch in enumerate(daily_batches):
         engine.session(epoch=day).absorb(batch, rng=rng)
         engine.seal_epoch(day)                      # spill + evict
-    engine = Engine.restore("epochstore")           # manifest-only restart
+    engine = Engine.open(None, store_dir="epochstore")  # manifest-only restart
     weekly = engine.estimator(window=last(7))       # segment pushdown
 
-The CLI accepts ``--store-dir`` wherever it accepts ``--checkpoint``.
+The CLI's ``engine`` subcommands and ``serve`` persist through
+``--store-dir``.
 
 The network-facing service
 --------------------------
@@ -109,7 +105,7 @@ merge exactly, the sharding is unobservable in the estimates.  Serve and
 drive it straight from the CLI (stdlib only, no extra dependencies)::
 
     python -m repro.cli serve --method hh --domain-size 1024 \\
-        --epsilon 1.1 --workers 4 --port 8377 --checkpoint service.ckpt
+        --epsilon 1.1 --workers 4 --port 8377 --store-dir store --wal-dir wal
     python -m repro.cli loadgen --url http://127.0.0.1:8377 --users 50000
 
 or in-process for tests and notebooks::
@@ -127,8 +123,8 @@ or in-process for tests and notebooks::
 ``encode --output -`` pipes to stdout), ``POST /close`` seals the epoch
 by merging every shard into the engine, ``GET /query`` answers windowed
 range/quantile/frequency queries (``postprocess=`` re-finalizes), and
-checkpoints flush on a configurable epoch cadence plus graceful
-shutdown.  ``benchmarks/bench_service.py`` records sustained ingest
+with a store attached every close seals the epoch and checkpoints the
+store incrementally, with a final flush on graceful shutdown.  ``benchmarks/bench_service.py`` records sustained ingest
 throughput, p99 latency and crash-recovery time in ``BENCH_service.json``.
 
 Post-processing pipelines
@@ -138,7 +134,7 @@ Every family's estimates can be cleaned up by the same pluggable
 post-processing layer (:mod:`repro.core.postprocess`) -- a free step under
 LDP because it only touches already-privatized output.  Pipelines are
 ``"+"``-joined registry tokens passed as ``postprocess=`` (they round-trip
-through ``spec()``, serialized states, engine checkpoints and the CLI's
+through ``spec()``, serialized states, epoch stores and the CLI's
 ``--postprocess`` flag).  For example, flat OUE estimates are unbiased but
 noisy -- often negative, never summing to exactly one -- and projecting
 them onto the probability simplex (``"norm_sub"``) measurably reduces
@@ -233,7 +229,7 @@ from repro.hierarchy import HierarchicalHistogram
 from repro.multidim import HierarchicalGrid2D
 from repro.wavelet import HaarHRR
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 #: Protocol registry used by the experiment harness and the CLI.  Classes
 #: may expose a ``from_registry(domain_size, epsilon, **kwargs)`` adapter

@@ -27,12 +27,13 @@ façade (:class:`repro.engine.Engine`) on files, replacing the ad-hoc
 state-file juggling for long-running services (``aggregate`` and
 ``merge`` remain as thin wrappers over the same façade):
 
-* ``repro-cli engine checkpoint`` -- fold report files into one epoch of a
-  durable checkpoint (created on first use, extended thereafter);
-* ``repro-cli engine info``       -- inspect a checkpoint (spec, epochs,
+* ``repro-cli engine checkpoint`` -- fold report files into one epoch of an
+  epoch store directory (``--store-dir``, created on first use, extended
+  thereafter with incremental checkpoints);
+* ``repro-cli engine info``       -- inspect an epoch store (spec, epochs,
   per-epoch report counts) and optionally export a merged window as a
   classic state file;
-* ``repro-cli engine query``      -- restore a checkpoint and answer
+* ``repro-cli engine query``      -- open an epoch store and answer
   range/quantile/rectangle queries over a window of epochs
   (``--window all``, ``--window last:K``, or ``--window 0,2,5``).
 
@@ -40,7 +41,7 @@ The service pair runs the same machinery over the network
 (:mod:`repro.service`):
 
 * ``repro-cli serve``   -- HTTP ingest gateway + shard worker processes,
-  epoch close on ``POST /close``, durable ``--checkpoint`` restore;
+  epoch close on ``POST /close``, durable ``--store-dir`` restore;
 * ``repro-cli loadgen`` -- drive a running gateway with synthetic
   traffic and report sustained reports/second and latency percentiles.
 
@@ -102,9 +103,11 @@ from repro.core.session import (
     Report,
     load_report_bytes,
     load_report_file,
+    load_server_file,
     protocol_from_spec,
     save_report_file,
     save_server_file,
+    statistics_spec,
 )
 from repro.engine import Engine, parse_window, resolve_window
 from repro.data.synthetic import DISTRIBUTIONS, make_population
@@ -416,22 +419,6 @@ def command_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_sans_postprocess(spec: Optional[dict]) -> Optional[dict]:
-    """A protocol spec with its assembly-time keys stripped.
-
-    ``postprocess`` (and the ``consistency`` flag it derives) only affect
-    finalize, never the accumulated statistics, so reports and shards are
-    exchangeable across those settings.
-    """
-    if not isinstance(spec, dict):
-        return spec
-    return {
-        key: value
-        for key, value in spec.items()
-        if key not in ("postprocess", "consistency")
-    }
-
-
 def _load_report_source(path: str):
     """Yield ``(protocol, report)`` pairs from one report source.
 
@@ -494,9 +481,7 @@ def _ingest_report_files(
                     except ValueError as exc:
                         raise SystemExit(str(exc))
                 session = Engine.open(protocol).session(epoch=epoch)
-            elif _spec_sans_postprocess(protocol.spec()) != _spec_sans_postprocess(
-                spec
-            ):
+            elif statistics_spec(protocol.spec()) != statistics_spec(spec):
                 raise SystemExit(
                     f"{path} was encoded with a different protocol configuration "
                     f"({protocol.spec()} != {spec})"
@@ -511,8 +496,8 @@ def command_aggregate(args: argparse.Namespace) -> int:
 
     Thin wrapper over the engine façade: one single-epoch engine ingests
     every report file and its shard state is written in the classic v1
-    layout, so downstream ``merge`` / ``engine checkpoint`` runs (and
-    pre-engine tooling) consume it unchanged.  ``--reports -`` reads a
+    layout, so downstream ``merge`` runs (and pre-engine tooling) consume
+    it unchanged.  ``--reports -`` reads a
     report file or framed batch from standard input; ``--output -``
     writes the state bytes to standard output, so the whole pipeline
     composes with shell pipes.
@@ -545,13 +530,11 @@ def _engine_from_state_files(paths: Sequence[str]) -> Engine:
     engine = None
     for path in paths:
         try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
+            server = load_server_file(path)
             if engine is None:
-                engine = Engine.from_bytes(blob)
-            else:
-                engine.adopt_state(blob)
-        except (OSError, SerializationError) as exc:
+                engine = Engine.open(server.protocol)
+            engine.adopt_state(server.state)
+        except (OSError, SerializationError, KeyError, TypeError, ValueError) as exc:
             raise SystemExit(f"could not load state file {path}: {exc}")
         except ProtocolUsageError as exc:
             raise SystemExit(str(exc))
@@ -614,31 +597,12 @@ def command_merge(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- #
 # engine subcommands: the epoch-aware aggregation-service façade on files
 # --------------------------------------------------------------------- #
-def _restore_engine(path: Optional[str] = None, store_dir: Optional[str] = None) -> Engine:
-    """Restore an engine from a checkpoint file or an epoch store directory."""
-    if store_dir is not None:
-        try:
-            return Engine.open(None, store_dir=store_dir)
-        except (OSError, SerializationError) as exc:
-            raise SystemExit(f"could not open epoch store {store_dir}: {exc}")
+def _restore_engine(store_dir: str) -> Engine:
+    """Open an existing epoch store directory as a store-backed engine."""
     try:
-        return Engine.restore(path)
+        return Engine.open(None, store_dir=store_dir)
     except (OSError, SerializationError) as exc:
-        raise SystemExit(f"could not restore engine checkpoint {path}: {exc}")
-
-
-def _checkpoint_source(args: argparse.Namespace) -> Tuple[Optional[str], Optional[str]]:
-    """Validate the ``--checkpoint`` / ``--store-dir`` pair of a subcommand."""
-    checkpoint = getattr(args, "checkpoint", None)
-    store_dir = getattr(args, "store_dir", None)
-    if checkpoint is None and store_dir is None:
-        raise SystemExit("one of --checkpoint or --store-dir is required")
-    if checkpoint is not None and store_dir is not None:
-        raise SystemExit(
-            "--checkpoint and --store-dir are mutually exclusive: a store "
-            "directory replaces the monolithic checkpoint file"
-        )
-    return checkpoint, store_dir
+        raise SystemExit(f"could not open epoch store {store_dir}: {exc}")
 
 
 def _parse_window_arg(args: argparse.Namespace):
@@ -649,25 +613,19 @@ def _parse_window_arg(args: argparse.Namespace):
 
 
 def command_engine_checkpoint(args: argparse.Namespace) -> int:
-    """Fold report files into one epoch of a durable engine checkpoint.
+    """Fold report files into one epoch of an epoch store directory.
 
-    The checkpoint (file or epoch store directory) is created on first
-    use and extended on every subsequent run; ``--epoch`` selects the
-    epoch (default: the next fresh one), and re-using an epoch key
-    appends to that epoch's shard.  With ``--store-dir`` the write is
+    The store is created on first use and extended on every subsequent
+    run; ``--epoch`` selects the epoch (default: the next fresh one), and
+    re-using an epoch key appends to that epoch's shard.  The write is
     *incremental*: only the touched epoch's segment is rewritten, and
     every other epoch's segment stays byte-identical on disk.
     """
-    checkpoint, store_dir = _checkpoint_source(args)
+    store_dir = args.store_dir
     engine = None
     spec = None
-    if store_dir is not None and os.path.exists(
-        os.path.join(store_dir, "MANIFEST.json")
-    ):
-        engine = _restore_engine(store_dir=store_dir)
-        spec = engine.spec()
-    elif checkpoint is not None and os.path.exists(checkpoint):
-        engine = _restore_engine(checkpoint)
+    if os.path.exists(os.path.join(store_dir, "MANIFEST.json")):
+        engine = _restore_engine(store_dir)
         spec = engine.spec()
     session = None
     if engine is not None:
@@ -682,38 +640,31 @@ def command_engine_checkpoint(args: argparse.Namespace) -> int:
         raise SystemExit("no report files given")
     engine = session.engine
     try:
-        if store_dir is not None:
-            if engine.store is None:
-                engine.attach_store(store_dir)
-            engine.checkpoint()
-            engine.seal_epoch(session.epoch)
-            destination = store_dir
-        else:
-            engine.checkpoint(checkpoint)
-            destination = checkpoint
+        if engine.store is None:
+            engine.attach_store(store_dir)
+        engine.checkpoint()
+        engine.seal_epoch(session.epoch)
     except (OSError, SerializationError, ProtocolUsageError) as exc:
         raise SystemExit(f"could not write checkpoint: {exc}")
     print(
         f"epoch {session.epoch}: folded {folded} reports from "
-        f"{len(args.reports)} file(s); checkpoint {destination} now holds "
+        f"{len(args.reports)} file(s); store {store_dir} now holds "
         f"epochs {list(engine.epochs)} ({engine.n_reports()} reports total)"
     )
     return 0
 
 
 def command_engine_info(args: argparse.Namespace) -> int:
-    """Inspect a checkpoint; optionally export a window as a state file.
+    """Inspect an epoch store; optionally export a window as a state file.
 
-    Reports per-epoch report counts and serialized sizes (plus on-disk
-    segment sizes and seal/dirty status when store-backed), without
-    materializing a single sealed epoch.
+    Reports per-epoch report counts, serialized and on-disk segment
+    sizes and seal/dirty status, without materializing a single sealed
+    epoch.
     """
-    checkpoint, store_dir = _checkpoint_source(args)
-    engine = _restore_engine(checkpoint, store_dir=store_dir)
+    engine = _restore_engine(args.store_dir)
     window = _parse_window_arg(args)
     epoch_stats = engine.epoch_stats()
     output = {
-        "checkpoint": checkpoint if store_dir is None else store_dir,
         "method": getattr(engine.protocol, "name", type(engine.protocol).__name__),
         "spec": engine.spec(),
         "epochs": list(engine.epochs),
@@ -723,25 +674,24 @@ def command_engine_info(args: argparse.Namespace) -> int:
         "epoch_stats": {str(epoch): stats for epoch, stats in epoch_stats.items()},
         "n_users": engine.n_reports(),
     }
-    if engine.store is not None:
-        output["store"] = {
-            "dir": engine.store.directory,
-            "sealed_epochs": list(engine.sealed_epochs),
-            "on_disk_bytes": engine.store.total_bytes(),
-            "aggregates": engine.store.aggregate_stats(),
-        }
-        if getattr(args, "aggregates", False):
-            # Detailed listing: one row per materialized aggregate block,
-            # plus the cover plan the current window would use.
-            output["store"]["aggregate_segments"] = engine.store.aggregate_entries()
-            sealed = [
-                epoch
-                for epoch in resolve_window(window, list(engine.epochs))
-                if epoch in engine.store
-            ]
-            output["store"]["window_plan"] = [
-                list(node) for node in engine.store.plan_window(sealed)
-            ]
+    output["store"] = {
+        "dir": engine.store.directory,
+        "sealed_epochs": list(engine.sealed_epochs),
+        "on_disk_bytes": engine.store.total_bytes(),
+        "aggregates": engine.store.aggregate_stats(),
+    }
+    if getattr(args, "aggregates", False):
+        # Detailed listing: one row per materialized aggregate block,
+        # plus the cover plan the current window would use.
+        output["store"]["aggregate_segments"] = engine.store.aggregate_entries()
+        sealed = [
+            epoch
+            for epoch in resolve_window(window, list(engine.epochs))
+            if epoch in engine.store
+        ]
+        output["store"]["window_plan"] = [
+            list(node) for node in engine.store.plan_window(sealed)
+        ]
     if args.output_state:
         try:
             merged = engine.window_state(window)
@@ -755,17 +705,15 @@ def command_engine_info(args: argparse.Namespace) -> int:
 
 
 def command_engine_query(args: argparse.Namespace) -> int:
-    """Restore a checkpoint and answer queries over a window of epochs.
+    """Open an epoch store and answer queries over a window of epochs.
 
-    ``--postprocess`` re-finalizes the checkpointed statistics under a
+    ``--postprocess`` re-finalizes the stored statistics under a
     different pipeline (post-processing never touches the accumulated
-    state, so no re-ingestion is needed).  With ``--store-dir`` the
-    window is answered out-of-core: only the selected epochs' segments
-    are read (via pushdown when available), bit-identically to the
-    in-RAM merge path.
+    state, so no re-ingestion is needed).  The window is answered
+    out-of-core: only the selected epochs' segments are read (via
+    pushdown when available), bit-identically to the in-RAM merge path.
     """
-    checkpoint, store_dir = _checkpoint_source(args)
-    engine = _restore_engine(checkpoint, store_dir=store_dir)
+    engine = _restore_engine(args.store_dir)
     window = _parse_window_arg(args)
     postprocess = getattr(args, "postprocess", None)
     if postprocess is not None:
@@ -828,13 +776,13 @@ def command_compare(args: argparse.Namespace) -> int:
 def command_serve(args: argparse.Namespace) -> int:
     """Run the network-facing aggregation service (gateway + workers).
 
-    With ``--checkpoint`` pointing at an existing file the service
-    resumes from it (ignoring the protocol flags -- the checkpoint *is*
-    the configuration); otherwise a fresh engine is built from
-    ``--method``/``--domain-size``/``--epsilon`` and the checkpoint file,
-    if requested, is created on the first epoch close.  SIGINT/SIGTERM
-    trigger a graceful shutdown: the in-progress epoch is closed, a final
-    checkpoint written, and the workers quit cleanly.
+    With ``--store-dir`` naming an existing epoch store the service
+    resumes from it (ignoring the protocol flags -- the manifest *is* the
+    configuration); otherwise a fresh engine is built from
+    ``--method``/``--domain-size``/``--epsilon`` and the store, if
+    requested, is created and sealed into on every epoch close.
+    SIGINT/SIGTERM trigger a graceful shutdown: the in-progress epoch is
+    closed, a final checkpoint written, and the workers quit cleanly.
     """
     import asyncio
     import signal
@@ -847,7 +795,6 @@ def command_serve(args: argparse.Namespace) -> int:
         "num_workers": args.workers,
         "host": args.host,
         "port": args.port,
-        "checkpoint_every": args.checkpoint_every,
         "wal_dir": args.wal_dir,
         "wal_sync": args.wal_sync,
         "request_timeout": args.request_timeout,
@@ -856,26 +803,16 @@ def command_serve(args: argparse.Namespace) -> int:
     store_dir = getattr(args, "store_dir", None)
     try:
         if store_dir and os.path.exists(os.path.join(store_dir, "MANIFEST.json")):
-            service = AggregationService.from_store(
-                store_dir, checkpoint_path=args.checkpoint, **options
-            )
+            service = AggregationService.from_store(store_dir, **options)
             origin = f"restored from store {store_dir}"
-        elif args.checkpoint and os.path.exists(args.checkpoint):
-            service = AggregationService.from_checkpoint(
-                args.checkpoint, store_dir=store_dir, **options
-            )
-            origin = f"restored from {args.checkpoint}"
         else:
             if args.domain_size is None:
                 raise SystemExit(
-                    "--domain-size is required unless --checkpoint or "
-                    "--store-dir names an existing checkpoint to restore"
+                    "--domain-size is required unless --store-dir names an "
+                    "existing epoch store to restore"
                 )
             service = AggregationService(
-                _build_protocol(args),
-                checkpoint_path=args.checkpoint,
-                store_dir=store_dir,
-                **options,
+                _build_protocol(args), store_dir=store_dir, **options
             )
             origin = "fresh engine"
     except SerializationError as exc:
@@ -1069,25 +1006,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     engine = subparsers.add_parser(
         "engine",
-        help="epoch-aware aggregation service: durable checkpoints + windowed queries",
+        help="epoch-aware aggregation service: durable epoch stores + windowed queries",
     )
     engine_sub = engine.add_subparsers(dest="engine_command", required=True)
 
     checkpoint = engine_sub.add_parser(
         "checkpoint",
-        help="fold report files into one epoch of a durable checkpoint",
-    )
-    checkpoint.add_argument(
-        "--checkpoint",
-        default=None,
-        help="monolithic checkpoint file (created or extended)",
+        help="fold report files into one epoch of an epoch store",
     )
     checkpoint.add_argument(
         "--store-dir",
-        default=None,
+        required=True,
         help=(
-            "epoch store directory: per-epoch mmap segments + incremental "
-            "checkpoints (replaces --checkpoint)"
+            "epoch store directory (created or extended): per-epoch mmap "
+            "segments + incremental checkpoints"
         ),
     )
     checkpoint.add_argument(
@@ -1102,13 +1034,10 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint.set_defaults(func=command_engine_checkpoint)
 
     info = engine_sub.add_parser(
-        "info", help="inspect a checkpoint (spec, epochs, report counts)"
+        "info", help="inspect an epoch store (spec, epochs, report counts)"
     )
-    info.add_argument("--checkpoint", default=None)
     info.add_argument(
-        "--store-dir",
-        default=None,
-        help="epoch store directory to inspect (replaces --checkpoint)",
+        "--store-dir", required=True, help="epoch store directory to inspect"
     )
     info.add_argument(
         "--window",
@@ -1128,13 +1057,10 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=command_engine_info)
 
     query = engine_sub.add_parser(
-        "query", help="answer queries over a window of checkpointed epochs"
+        "query", help="answer queries over a window of stored epochs"
     )
-    query.add_argument("--checkpoint", default=None)
     query.add_argument(
-        "--store-dir",
-        default=None,
-        help="epoch store directory to query (replaces --checkpoint)",
+        "--store-dir", required=True, help="epoch store directory to query"
     )
     query.add_argument(
         "--window",
@@ -1165,24 +1091,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="number of shard worker processes"
     )
     serve.add_argument(
-        "--checkpoint",
-        default=None,
-        help="checkpoint file: restored if it exists, written on epoch close",
-    )
-    serve.add_argument(
         "--store-dir",
         default=None,
         help=(
-            "epoch store directory: sealed epochs spill to per-epoch mmap "
-            "segments and checkpoints become incremental (restored if the "
-            "directory already holds a manifest)"
+            "epoch store directory: every epoch close seals the epoch into "
+            "a per-epoch mmap segment and checkpoints incrementally "
+            "(restored if the directory already holds a manifest)"
         ),
-    )
-    serve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        help="write the checkpoint every K-th epoch close",
     )
     serve.add_argument(
         "--wal-dir",
@@ -1214,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--domain-size",
         type=int,
         default=None,
-        help="domain size (required unless restoring a checkpoint)",
+        help="domain size (required unless restoring an epoch store)",
     )
     serve.add_argument(
         "--domain-size-y",

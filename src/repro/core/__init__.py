@@ -50,9 +50,6 @@ from repro.core.session import (
     CompositeAccumulator,
     DecompositionClient,
     DecompositionServer,
-    FlatReport,
-    HaarReport,
-    HierarchicalReport,
     LevelReport,
     ProtocolClient,
     ProtocolServer,
@@ -108,9 +105,6 @@ __all__ = [
     "ProtocolServer",
     "Report",
     "LevelReport",
-    "FlatReport",
-    "HierarchicalReport",
-    "HaarReport",
     "DecompositionClient",
     "DecompositionServer",
     "Decomposition",

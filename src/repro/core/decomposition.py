@@ -27,8 +27,7 @@ four copy-pasted implementations:
   return the generic :class:`~repro.core.session.DecompositionClient` /
   :class:`~repro.core.session.DecompositionServer`, and
   :meth:`DecomposedRangeQueryProtocol.simulate_aggregate` is the one
-  aggregate simulation driver shared by every family (``run_simulated``
-  remains as a deprecated alias).
+  aggregate simulation driver shared by every family.
 
 Adding a new protocol is therefore a ~50-line :class:`Decomposition`
 subclass: streaming clients and servers, mergeable shards, wire

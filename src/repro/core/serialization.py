@@ -22,11 +22,10 @@ Two format versions coexist:
 * **v1** (``REPROACC\\x01``) is the original layout used by every
   accumulator state and report.  :func:`pack_blob` keeps emitting it by
   default so all pre-engine payloads stay byte-for-byte identical.
-* **v2** (``REPROACC\\x02``) is the *envelope* version introduced with the
-  :mod:`repro.engine` façade: same physical layout, but the header is
-  expected to carry envelope metadata (engine version, protocol spec,
-  epoch keys).  :func:`unpack_blob` decodes both versions transparently;
-  :func:`blob_version` reports which one a payload uses.
+* **v2** (``REPROACC\\x02``) is the *envelope* tag: the same physical
+  layout under a distinct magic, for containers whose header carries
+  envelope metadata.  :func:`unpack_blob` decodes both versions
+  transparently; :func:`blob_version` reports which one a payload uses.
 
 A third magic, ``REPROBAT\\x01``, frames *batches* of reports for network
 transport (:func:`pack_report_batch` / :func:`unpack_report_batch`): a

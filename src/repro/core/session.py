@@ -31,7 +31,6 @@ working unchanged on top of this streaming model.
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import (
     Any,
     Callable,
@@ -133,27 +132,40 @@ class AccumulatorState(abc.ABC):
 _ASSEMBLY_ONLY_SPEC_KEYS = ("postprocess", "consistency")
 
 
-def _comparable_config(config: dict) -> dict:
-    """A config dict with post-processing identity stripped.
+def statistics_spec(spec):
+    """A protocol spec with its assembly-only keys stripped.
 
     Post-processing runs at assembly time only -- it never touches the
-    sufficient statistics -- so two accumulators whose embedded protocol
-    specs differ *only* in assembly-time keys (``postprocess``, the
-    ``consistency`` flag it derives) hold exchangeable state and may be
-    merged or adopted across that difference (this is how ``engine query
+    sufficient statistics -- so reports, accumulator states and store
+    segments whose specs agree here are exchangeable across
+    ``postprocess`` (and the ``consistency`` flag it derives).  This is
+    the one definition of that identity: merge checks, store
+    fingerprints and the CLI/gateway ingest checks all compare through
+    it.  Anything that is not a dict (e.g. an untrusted header field)
+    is returned unchanged, so comparisons against it simply fail.
+    """
+    if not isinstance(spec, dict):
+        return spec
+    return {
+        key: value
+        for key, value in spec.items()
+        if key not in _ASSEMBLY_ONLY_SPEC_KEYS
+    }
+
+
+def _comparable_config(config: dict) -> dict:
+    """A state config dict with its protocol spec's assembly keys stripped.
+
+    Two accumulators whose embedded protocol specs differ *only* in
+    assembly-time keys hold exchangeable state and may be merged or
+    adopted across that difference (this is how ``engine query
     --postprocess`` and the service's ``/query?postprocess=`` re-finalize
     existing statistics under a different pipeline).
     """
     protocol = config.get("protocol")
-    if isinstance(protocol, dict) and any(
-        key in protocol for key in _ASSEMBLY_ONLY_SPEC_KEYS
-    ):
+    if isinstance(protocol, dict):
         config = dict(config)
-        config["protocol"] = {
-            key: value
-            for key, value in protocol.items()
-            if key not in _ASSEMBLY_ONLY_SPEC_KEYS
-        }
+        config["protocol"] = statistics_spec(protocol)
     return config
 
 
@@ -387,10 +399,10 @@ class LevelReport(Report):
     One codec serves all families: ``family`` (not the class-level
     ``kind``) is the wire tag written as ``report_kind``, the layout is
     the former hierarchical one (``levels`` metadata plus ``level_<key>``
-    arrays), and the decoder -- registered under every family tag, with a
-    fallback for families added later -- also reads the two legacy
-    layouts (``heights`` for Haar, a bare ``payload`` for flat) so
-    reports serialized before the unification still load.
+    arrays), and the decoder is registered under every family tag, with a
+    fallback for families added later.  Reports are untrusted input: the
+    pre-unification layouts (a bare ``payload`` for flat, ``heights`` for
+    Haar) are rejected as :class:`SerializationError`.
     """
 
     def __init__(
@@ -417,16 +429,6 @@ class LevelReport(Report):
             f"levels={sorted(self.level_payloads)}, n_users={self.n_users})"
         )
 
-    @property
-    def payload(self) -> Any:
-        """The single-level oracle payload (flat back-compat accessor)."""
-        return self.level_payloads.get(0)
-
-    @property
-    def height_payloads(self) -> Dict[int, Any]:
-        """Per-detail-height payloads (Haar back-compat alias)."""
-        return self.level_payloads
-
     def to_bytes(self) -> bytes:
         arrays: Dict[str, np.ndarray] = {
             "level_user_counts": np.asarray(self.level_user_counts, dtype=np.int64)
@@ -447,78 +449,16 @@ class LevelReport(Report):
     def _decode(cls, header: dict, arrays: Dict[str, np.ndarray]) -> "LevelReport":
         family = header["report_kind"]
         n_users = int(header["n_users"])
-        if "levels" in header:
-            meta_map, prefix = header["levels"] or {}, "level"
-        elif "heights" in header:  # legacy Haar layout
-            meta_map, prefix = header["heights"] or {}, "height"
-        else:  # legacy flat layout: a single bare payload
-            payloads: Dict[int, Any] = {}
-            if n_users > 0:
-                payloads[0] = _unpack_payload(header["payload"], arrays, "payload")
-            return cls(family, payloads, np.asarray([n_users], np.int64), n_users)
+        meta_map = header["levels"]
+        if not isinstance(meta_map, dict):
+            raise SerializationError(
+                f"report 'levels' must be a mapping, got {type(meta_map).__name__}"
+            )
         payloads = {
-            int(level): _unpack_payload(meta, arrays, f"{prefix}_{int(level)}")
+            int(level): _unpack_payload(meta, arrays, f"level_{int(level)}")
             for level, meta in meta_map.items()
         }
-        counts = arrays.get("level_user_counts")
-        if counts is None:
-            counts = np.asarray([n_users], np.int64)
-        return cls(family, payloads, counts, n_users)
-
-
-def _warn_deprecated_report(name: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated; every family now uses the unified "
-        "LevelReport codec -- construct LevelReport(family=...) directly",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class FlatReport(LevelReport):
-    """Deprecated back-compat constructor for flat (whole-domain) reports.
-
-    Use :class:`LevelReport` with ``family="flat"`` instead.
-    """
-
-    def __init__(self, payload: Any = None, n_users: int = 0) -> None:
-        _warn_deprecated_report("FlatReport")
-        payloads = {0: payload} if n_users > 0 else {}
-        super().__init__(
-            "flat", payloads, np.asarray([int(n_users)], np.int64), n_users
-        )
-
-
-class HierarchicalReport(LevelReport):
-    """Deprecated back-compat constructor for hierarchical reports.
-
-    Use :class:`LevelReport` with ``family="hierarchical"`` instead.
-    """
-
-    def __init__(
-        self,
-        level_payloads: Optional[Dict[int, Any]] = None,
-        level_user_counts: Optional[np.ndarray] = None,
-        n_users: int = 0,
-    ) -> None:
-        _warn_deprecated_report("HierarchicalReport")
-        super().__init__("hierarchical", level_payloads, level_user_counts, n_users)
-
-
-class HaarReport(LevelReport):
-    """Deprecated back-compat constructor for HaarHRR wavelet reports.
-
-    Use :class:`LevelReport` with ``family="haar"`` instead.
-    """
-
-    def __init__(
-        self,
-        height_payloads: Optional[Dict[int, Any]] = None,
-        level_user_counts: Optional[np.ndarray] = None,
-        n_users: int = 0,
-    ) -> None:
-        _warn_deprecated_report("HaarReport")
-        super().__init__("haar", height_payloads, level_user_counts, n_users)
+        return cls(family, payloads, arrays["level_user_counts"], n_users)
 
 
 for _family in ("flat", "hierarchical", "haar", "grid2d"):

@@ -1,12 +1,10 @@
 """Out-of-core epoch store: one mmap-backed segment file per sealed epoch.
 
-The :class:`~repro.engine.Engine` keeps every epoch's accumulator in RAM
-and rewrites one monolithic checkpoint envelope on every
-``checkpoint()``.  That is fine for a handful of epochs; a long-running
-service holding months of hourly epochs is memory-bound (RSS grows with
-*total* epochs, not the queried window) and checkpoint-bound (the whole
-envelope is rewritten even when one epoch changed).  :class:`EpochStore`
-is the out-of-core backend that fixes both:
+:class:`EpochStore` is the :class:`~repro.engine.Engine`'s one durable
+format.  A long-running service holding months of hourly epochs must not
+be memory-bound (RSS growing with *total* epochs, not the queried
+window) nor checkpoint-bound (rewriting the whole history when one epoch
+changed); the store avoids both:
 
 * **One segment per epoch.**  Each sealed epoch lives in its own
   CRC-framed file (``epoch-%08d.seg``, see
@@ -44,8 +42,8 @@ is the out-of-core backend that fixes both:
   leaves instead of failing the query.
 
 Every structural failure -- a torn segment tail, a manifest/segment spec
-mismatch, a missing segment file, a monolithic checkpoint where a store
-directory was expected -- raises
+mismatch, a missing segment file, a regular file (e.g. a removed-format
+monolithic checkpoint) where a store directory was expected -- raises
 :class:`~repro.core.serialization.SerializationError` naming the epoch
 and file involved.
 """
@@ -70,7 +68,11 @@ from repro.core.serialization import (
     segment_pushdown_children,
     segment_state_bytes,
 )
-from repro.core.session import AccumulatorState, CompositeAccumulator
+from repro.core.session import (
+    AccumulatorState,
+    CompositeAccumulator,
+    statistics_spec,
+)
 from repro.engine.windows import PLAN_AGGREGATE, PLAN_EPOCH, PlanNode, plan_cover
 from repro.frequency_oracles.base import OracleAccumulator
 
@@ -101,26 +103,17 @@ class _AggregateUnusable(Exception):
         super().__init__(f"aggregate {key} unusable: {cause}")
         self.key = key
 
-#: Spec keys that never affect the accumulated statistics (see
-#: ``repro.core.session._ASSEMBLY_ONLY_SPEC_KEYS``): two stores whose
-#: specs differ only here hold exchangeable segments.
-_ASSEMBLY_ONLY_SPEC_KEYS = ("postprocess", "consistency")
-
 
 def spec_fingerprint(spec: dict) -> str:
     """A stable hash of a protocol spec, ignoring assembly-only keys.
 
     Post-processing runs at finalize time only, so segments written
     under ``postprocess="none"`` are valid for a query under
-    ``"consistency+norm_sub"`` and vice versa -- the fingerprint treats
-    those specs as identical, mirroring the engine's merge rules.
+    ``"consistency+norm_sub"`` and vice versa -- the fingerprint hashes
+    :func:`~repro.core.session.statistics_spec`, mirroring the engine's
+    merge rules.
     """
-    comparable = {
-        key: value
-        for key, value in dict(spec).items()
-        if key not in _ASSEMBLY_ONLY_SPEC_KEYS
-    }
-    encoded = json.dumps(comparable, sort_keys=True).encode("utf-8")
+    encoded = json.dumps(statistics_spec(dict(spec)), sort_keys=True).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()
 
 
@@ -238,9 +231,9 @@ class EpochStore:
             magic = b""
         if magic in (MAGIC, MAGIC_V2):
             raise SerializationError(
-                f"{path} is a monolithic engine checkpoint, not an epoch "
-                "store directory; restore it with Engine.restore(path) and "
-                "attach a store directory to migrate it"
+                f"{path} is a packed repro file, not an epoch store "
+                "directory (the monolithic checkpoint format was removed; "
+                "the epoch store is the only durable format)"
             )
         raise SerializationError(
             f"{path} is a regular file, not an epoch store directory"
@@ -272,7 +265,7 @@ class EpochStore:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # incl. JSON and UTF-8 errors
             raise SerializationError(
                 f"corrupt epoch store manifest {path}: {exc}"
             ) from exc
@@ -302,7 +295,7 @@ class EpochStore:
                 f"corrupt epoch store manifest {path}: recorded spec hash "
                 f"{self._spec_hash} does not match its own protocol spec"
             )
-        entries = manifest.get("epochs", {})
+        entries = manifest.get("epochs")
         if not isinstance(entries, dict):
             raise SerializationError(
                 f"corrupt epoch store manifest {path}: 'epochs' must be an object"

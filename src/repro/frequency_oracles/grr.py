@@ -18,17 +18,6 @@ from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import FrequencyOracle, OracleAccumulator
 
 
-def _categorical_report_counts(reports: np.ndarray, domain_size: int) -> np.ndarray:
-    """Integer histogram of categorical reports, validated against ``D``.
-
-    Back-compat alias of the reference ``categorical_counts`` kernel;
-    oracles call the kernel of their resolved backend instead.
-    """
-    from repro.core.kernels.reference import categorical_counts
-
-    return categorical_counts(reports, domain_size)
-
-
 class GeneralizedRandomizedResponse(FrequencyOracle):
     """k-ary randomized response (direct encoding) over ``[D]``.
 

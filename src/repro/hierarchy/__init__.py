@@ -16,7 +16,6 @@ from repro.hierarchy.badic import (
 )
 from repro.hierarchy.consistency import (
     consistency_violation,
-    enforce_consistency,
     mean_consistency,
     variance_reduction_factor,
     weighted_averaging,
@@ -43,7 +42,6 @@ __all__ = [
     "is_badic",
     "worst_case_nodes_per_level",
     "consistency_violation",
-    "enforce_consistency",
     "mean_consistency",
     "variance_reduction_factor",
     "weighted_averaging",

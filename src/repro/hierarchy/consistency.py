@@ -31,21 +31,19 @@ factor of at least ``B / (B + 1)``.
     ``TreeWeightedAveraging`` / ``TreeMeanConsistency`` processors of the
     unified post-processing pipeline (registry token ``"consistency"``).
     :func:`weighted_averaging` and :func:`mean_consistency` remain as thin
-    aliases; :func:`enforce_consistency` additionally emits a
-    ``DeprecationWarning`` pointing at the pipeline API.  Behavior is
+    aliases of the two stages; the combined procedure is
+    :func:`repro.core.postprocess.tree_enforce_consistency`.  Behavior is
     bit-identical.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.postprocess import (
     _validate_tree_levels,
-    tree_enforce_consistency,
     tree_mean_consistency,
     tree_weighted_averaging,
 )
@@ -73,29 +71,6 @@ def mean_consistency(
     canonical home of the math since the pipeline unification).
     """
     return tree_mean_consistency(level_values, branching, root_value=root_value)
-
-
-def enforce_consistency(
-    level_values: Sequence[np.ndarray],
-    branching: int,
-    root_value: Optional[float] = 1.0,
-) -> List[np.ndarray]:
-    """Deprecated alias of the ``"consistency"`` post-processing pipeline.
-
-    Use ``postprocess="consistency"`` on the protocol (or
-    :func:`repro.core.postprocess.tree_enforce_consistency` for the bare
-    math).  Behavior is unchanged: Stage 1 then Stage 2 with the root
-    pinned to ``root_value``.
-    """
-    warnings.warn(
-        "repro.hierarchy.consistency.enforce_consistency is deprecated; use "
-        "the unified post-processing pipeline (protocol postprocess="
-        "'consistency', or repro.core.postprocess.tree_enforce_consistency "
-        "for the bare math) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return tree_enforce_consistency(level_values, branching, root_value=root_value)
 
 
 def consistency_violation(level_values: Sequence[np.ndarray], branching: int) -> float:

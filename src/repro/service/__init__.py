@@ -15,7 +15,7 @@ Quickstart (see also ``repro-cli serve`` / ``repro-cli loadgen``)::
     service = AggregationService(
         {"name": "hh", "domain_size": 1024, "epsilon": 1.0},
         num_workers=4,
-        checkpoint_path="state.bin",
+        store_dir="store/",      # epoch store: sealed + checkpointed on close
         wal_dir="wal/",          # durable ingest log: exactly-once recovery
     )
     with ServiceThread(service) as handle:
@@ -24,7 +24,7 @@ Quickstart (see also ``repro-cli serve`` / ``repro-cli loadgen``)::
 Fault tolerance: with ``wal_dir`` set, every accepted batch is logged
 durably *before* the ``/ingest`` acknowledgement, dead shard workers
 are respawned and replayed automatically, and a killed gateway replays
-its un-checkpointed epochs on restart.  Clients that retry should send
+the epochs its store does not yet hold on restart.  Clients that retry should send
 an ``Idempotency-Key`` header (any stable string per logical batch) so
 a retried delivery of an already-accepted batch is deduplicated rather
 than double-counted -- :func:`request_json` and the load generator do

@@ -6,8 +6,7 @@ entity made concrete: a single asyncio HTTP gateway that accepts framed
 report batches, fans them out to per-shard worker processes
 (:mod:`repro.service.workers`), merges the shard accumulators into the
 epoch-aware :class:`~repro.engine.Engine` on epoch close, and answers
-windowed queries -- with durability via the engine's v2 checkpoint
-envelope.
+windowed queries -- with durability via the engine's epoch store.
 
 Endpoints (all JSON except the ingest body):
 
@@ -21,8 +20,8 @@ Endpoints (all JSON except the ingest body):
                          frames to one shard worker without decoding arrays
 ``POST /close``          close the current epoch: drain every worker, merge
                          the shard states into the engine (exact, order
-                         independent), checkpoint every K-th close
-``POST /checkpoint``     force a checkpoint now
+                         independent), seal + checkpoint the store
+``POST /checkpoint``     force an incremental store checkpoint now
 ``GET  /query``          windowed estimates; parameters ``window``
                          (``all`` | ``last:K`` | ``0,2,5``), ``ranges``,
                          ``quantiles``, ``rectangles``, ``frequencies=1``,
@@ -35,23 +34,19 @@ integer sufficient statistics and epoch close merges them exactly
 (associative + commutative), so the number of workers, the round-robin
 interleaving and the merge order are all unobservable in query answers.
 
-Durability: if ``checkpoint_path`` is set, every ``checkpoint_every``-th
-epoch close rewrites the checkpoint (atomic rename, v2 envelope), and a
-graceful :meth:`AggregationService.stop` flushes the in-progress epoch
-and checkpoints before the workers exit.  Restarting on the same path
-resumes with every checkpointed epoch intact.
-
-Out-of-core mode (``store_dir``): the engine is backed by an
-:class:`~repro.engine.store.EpochStore` instead of (or in addition to)
-one monolithic checkpoint file.  Every epoch close *seals* the finished
-epoch -- its accumulator is written once to its own CRC-framed segment
-file and evicted from RAM -- so the gateway's memory stays O(current
-epoch) no matter how many epochs it has served, and the
-``checkpoint_every``-cadence checkpoint is incremental (dirty segments
-plus a manifest rewrite, never the whole history).  Windowed ``/query``
-answers over sealed epochs run via the store's pushdown path and remain
-bit-identical to the all-in-RAM engine.  Restarting with the same
-``store_dir`` resumes from the manifest, mapping segments lazily.
+Durability (``store_dir``): the engine is backed by an
+:class:`~repro.engine.store.EpochStore`, the one durable format.  Every
+epoch close *seals* the finished epoch -- its accumulator is written
+once to its own CRC-framed segment file and evicted from RAM -- so the
+gateway's memory stays O(current epoch) no matter how many epochs it has
+served, then checkpoints the store incrementally (dirty segments plus a
+manifest rewrite, never the whole history).  A graceful
+:meth:`AggregationService.stop` flushes the in-progress epoch and
+checkpoints before the workers exit.  Windowed ``/query`` answers over
+sealed epochs run via the store's pushdown path and remain bit-identical
+to the all-in-RAM engine.  Restarting with the same ``store_dir``
+(:meth:`AggregationService.from_store`) resumes from the manifest,
+mapping segments lazily.
 
 Fault tolerance (``wal_dir`` + supervision):
 
@@ -79,6 +74,7 @@ un-closed reports are lost -- durability needs the log.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import json
 import threading
@@ -92,7 +88,7 @@ from repro.core.serialization import (
     SerializationError,
     report_batch_header,
 )
-from repro.core.session import AccumulatorState
+from repro.core.session import AccumulatorState, statistics_spec
 from repro.engine import Engine, parse_window, resolve_window
 from repro.service.http import (
     DEFAULT_MAX_BODY,
@@ -113,27 +109,11 @@ from repro.service.workers import (
 )
 
 
-def _spec_sans_postprocess(spec: Optional[dict]) -> Optional[dict]:
-    """Spec identity for ingest compatibility.
-
-    Assembly-time keys (``postprocess`` and the ``consistency`` flag it
-    derives) never touch sufficient statistics, so batches encoded under
-    different settings of them are exchangeable.
-    """
-    if not isinstance(spec, dict):
-        return spec
-    return {
-        key: value
-        for key, value in spec.items()
-        if key not in ("postprocess", "consistency")
-    }
-
-
 class AggregationService:
     """One protocol configuration served over HTTP with sharded ingest.
 
     ``engine`` is an :class:`~repro.engine.Engine` (possibly restored
-    from a checkpoint), a protocol object, or a spec dict.  The service
+    from an epoch store), a protocol object, or a spec dict.  The service
     owns the engine's epoch lifecycle: reports accumulate in the worker
     shards of the *current* epoch, ``POST /close`` folds them into the
     engine, and queries see every closed epoch.
@@ -146,8 +126,6 @@ class AggregationService:
         num_workers: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: int = 1,
         store_dir: Optional[str] = None,
         max_body: int = DEFAULT_MAX_BODY,
         start_method: str = "spawn",
@@ -163,15 +141,11 @@ class AggregationService:
             engine = Engine.open(engine)
         if store_dir is not None and engine.store is None:
             engine.attach_store(store_dir)
-        if int(checkpoint_every) < 1:
-            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         self._engine = engine
         self._store_backed = engine.store is not None
         self._spec = engine.spec()
         self._host = host
         self._requested_port = int(port)
-        self._checkpoint_path = checkpoint_path
-        self._checkpoint_every = int(checkpoint_every)
         self._max_body = int(max_body)
         self._pool = WorkerPool(
             self._spec,
@@ -193,19 +167,13 @@ class AggregationService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._port: Optional[int] = None
         self._close_lock = asyncio.Lock()
-        # Makes a deferred batch's {shard assignment + WAL append} atomic
-        # with respect to the supervisor's {respawn + replay}: without it
-        # a replay could scan the log between the two and miss a record
-        # assigned to the worker it just revived.
-        self._repair_lock = asyncio.Lock()
-        # Epoch barrier: /close waits for in-flight ingests to land and
-        # holds back new ones, so a batch's WAL epoch always matches the
-        # epoch its reports are counted in.
-        self._closing = False
+        # Ingest barrier (see _ingest_barrier): epoch close and worker
+        # repair wait for in-flight ingests to land and hold back new ones.
+        self._ingest_held = False
         self._ingest_inflight = 0
         self._ingest_idle = asyncio.Event()
-        self._close_done = asyncio.Event()
-        self._close_done.set()
+        self._ingest_released = asyncio.Event()
+        self._ingest_released.set()
         # Idempotency keys seen in the current and previous epoch.
         self._seen_keys: Dict[str, int] = {}
         self._auto_keys = itertools.count()
@@ -221,21 +189,11 @@ class AggregationService:
         self._timed_out_connections = 0
         self._wal_recovery_ms = 0.0
         self._checkpoints_written = 0
-        self._closes_since_checkpoint = 0
         self._stopping = False
 
     # ------------------------------------------------------------------ #
     # construction / lifecycle
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_checkpoint(cls, path: str, **options) -> "AggregationService":
-        """A service resuming from an engine checkpoint file.
-
-        Every checkpointed epoch is restored; ingestion continues on the
-        next fresh epoch key, so a crash-restart never rewrites history.
-        """
-        return cls(Engine.restore(path), checkpoint_path=path, **options)
-
     @classmethod
     def from_store(cls, store_dir: str, **options) -> "AggregationService":
         """A service resuming from an out-of-core epoch store directory.
@@ -335,7 +293,7 @@ class AggregationService:
             self._server = None
         if flush:
             await self._close_epoch()
-            if self._checkpoint_path is not None or self._store_backed:
+            if self._store_backed:
                 await self._write_checkpoint()
             await self._pool.shutdown(graceful=True)
         else:
@@ -361,7 +319,7 @@ class AggregationService:
     async def _recover_from_wal(self) -> None:
         """Replay surviving WAL segments after a restart.
 
-        Sealed segments whose epoch a checkpoint already covers are
+        Sealed segments whose epoch the store already covers are
         discarded; sealed segments the crash orphaned (closed into the
         engine but never checkpointed) are rebuilt by single-process
         re-ingestion -- bit-identical to the sharded original.  The open
@@ -463,21 +421,23 @@ class AggregationService:
     async def _supervise(self) -> None:
         """Detect dead workers, respawn them, replay their batches.
 
-        Runs forever on ``supervise_interval``; holds the close lock so
-        a replay never interleaves with an epoch drain (which would
-        mis-attribute the replayed reports to the next epoch).
+        Runs forever on ``supervise_interval``.  The repair holds the
+        ingest barrier, so it never interleaves with an epoch drain
+        (which would mis-attribute the replayed reports to the next
+        epoch) or with an ingest: a batch routed to the replacement
+        before the replay reads the log would otherwise be delivered
+        twice, and a batch logged after the read not at all.
         """
         while not self._stopping:
             await asyncio.sleep(self._supervise_interval)
             try:
                 if self._pool.alive_count == len(self._pool):
                     continue
-                async with self._close_lock:
-                    async with self._repair_lock:
-                        respawned = await self._pool.ensure_alive()
-                        await self._replay_for_workers(
-                            respawned, self._current_epoch
-                        )
+                async with self._ingest_barrier():
+                    respawned = await self._pool.ensure_alive()
+                    await self._replay_for_workers(
+                        respawned, self._current_epoch
+                    )
             except asyncio.CancelledError:
                 raise
             except Exception:  # noqa: BLE001 - supervision must outlive any
@@ -487,18 +447,34 @@ class AggregationService:
     # ------------------------------------------------------------------ #
     # epoch lifecycle
     # ------------------------------------------------------------------ #
+    @contextlib.asynccontextmanager
+    async def _ingest_barrier(self):
+        """Hold back new ingests and wait for the in-flight ones to land.
+
+        Inside the barrier no batch sits between its shard assignment,
+        its WAL append and its delivery, so the log and the shard states
+        agree on exactly which batches each shard holds: an epoch close
+        merges exactly the batches stamped with its epoch, and a respawn
+        replay re-delivers exactly the batches the dead shard lost.
+        """
+        async with self._close_lock:
+            self._ingest_held = True
+            self._ingest_released.clear()
+            try:
+                if self._ingest_inflight > 0:
+                    self._ingest_idle.clear()
+                    await self._ingest_idle.wait()
+                yield
+            finally:
+                self._ingest_held = False
+                self._ingest_released.set()
+
     async def _write_checkpoint(self) -> None:
+        # Incremental: only dirty live epochs hit the disk; clean sealed
+        # segments are untouched and the manifest lands last.
         loop = asyncio.get_running_loop()
-        if self._checkpoint_path is not None:
-            await loop.run_in_executor(
-                None, self._engine.checkpoint, self._checkpoint_path
-            )
-        if self._store_backed:
-            # Incremental: only dirty live epochs hit the disk; clean
-            # sealed segments are untouched and the manifest lands last.
-            await loop.run_in_executor(None, self._engine.checkpoint)
+        await loop.run_in_executor(None, self._engine.checkpoint)
         self._checkpoints_written += 1
-        self._closes_since_checkpoint = 0
 
     async def _drain_workers(self, epoch: int) -> Dict[int, bytes]:
         """Drain every shard for ``epoch``, repairing crashes as needed.
@@ -534,74 +510,60 @@ class AggregationService:
     async def _close_epoch(self) -> dict:
         """Drain every worker and merge the shard states into the engine.
 
-        Holds the epoch barrier (in-flight ingests land first, new ones
+        Holds the ingest barrier (in-flight ingests land first, new ones
         wait) so the WAL segment and the merged epoch agree on exactly
         which batches belong to it; merging runs under the engine's lock
         via :meth:`~repro.engine.Engine.absorb_shard`; empty shards are
         skipped so a traffic-free close never creates an unfinalizable
         zero-report epoch.
         """
-        async with self._close_lock:
-            self._closing = True
-            self._close_done.clear()
-            try:
-                if self._ingest_inflight > 0:
-                    self._ingest_idle.clear()
-                    await self._ingest_idle.wait()
-                epoch = self._current_epoch
-                shard_states = await self._drain_workers(epoch)
-                total = 0
-                for index in sorted(shard_states):
-                    state = AccumulatorState.from_bytes(shard_states[index])
-                    if state.n_reports <= 0:
-                        continue
-                    # Worker states carry no epoch stamp; absorb_shard merges
-                    # them (exactly) into the closing epoch under the lock.
-                    state.meta.clear()
-                    self._engine.absorb_shard(state, epoch=epoch)
-                    total += state.n_reports
-                if total == 0:
-                    return {"closed": False, "reports": 0, "epoch": None}
-                self._current_epoch = epoch + 1
-                if self._store_backed:
-                    # Seal the finished epoch: one segment write + manifest
-                    # fsync makes it durable, and eviction keeps the
-                    # gateway's RSS independent of the epoch count.
-                    loop = asyncio.get_running_loop()
-                    await loop.run_in_executor(
-                        None, self._engine.seal_epoch, epoch
-                    )
-                self._pool.note_epoch_closed()
-                # Keys from two epochs ago can no longer race a retry.
-                self._seen_keys = {
-                    key: seen_epoch
-                    for key, seen_epoch in self._seen_keys.items()
-                    if seen_epoch >= epoch
-                }
+        async with self._ingest_barrier():
+            epoch = self._current_epoch
+            shard_states = await self._drain_workers(epoch)
+            total = 0
+            for index in sorted(shard_states):
+                state = AccumulatorState.from_bytes(shard_states[index])
+                if state.n_reports <= 0:
+                    continue
+                # Worker states carry no epoch stamp; absorb_shard merges
+                # them (exactly) into the closing epoch under the lock.
+                state.meta.clear()
+                self._engine.absorb_shard(state, epoch=epoch)
+                total += state.n_reports
+            if total == 0:
+                return {"closed": False, "reports": 0, "epoch": None}
+            self._current_epoch = epoch + 1
+            if self._store_backed:
+                # Seal the finished epoch: one segment write + manifest
+                # fsync makes it durable, and eviction keeps the
+                # gateway's RSS independent of the epoch count.
+                loop = asyncio.get_running_loop()
+                await loop.run_in_executor(
+                    None, self._engine.seal_epoch, epoch
+                )
+            self._pool.note_epoch_closed()
+            # Keys from two epochs ago can no longer race a retry.
+            self._seen_keys = {
+                key: seen_epoch
+                for key, seen_epoch in self._seen_keys.items()
+                if seen_epoch >= epoch
+            }
+            if self._wal is not None:
+                self._wal.seal(epoch)
+            # Every store-backed close checkpoints, so the WAL never
+            # holds more than the epochs the store has yet to cover.
+            checkpointed = self._store_backed
+            if checkpointed:
+                await self._write_checkpoint()
                 if self._wal is not None:
-                    self._wal.seal(epoch)
-                self._closes_since_checkpoint += 1
-                checkpointed = False
-                if (
-                    self._checkpoint_path is not None or self._store_backed
-                ) and self._closes_since_checkpoint >= self._checkpoint_every:
-                    await self._write_checkpoint()
-                    checkpointed = True
-                elif self._store_backed:
-                    # The seal above already made this epoch durable.
-                    checkpointed = True
-                if checkpointed and self._wal is not None:
                     self._wal.discard_checkpointed(self._engine.epochs)
-                return {
-                    "closed": True,
-                    "epoch": epoch,
-                    "reports": total,
-                    "checkpointed": checkpointed,
-                    "epochs": list(self._engine.epochs),
-                }
-            finally:
-                self._closing = False
-                self._close_done.set()
+            return {
+                "closed": True,
+                "epoch": epoch,
+                "reports": total,
+                "checkpointed": checkpointed,
+                "epochs": list(self._engine.epochs),
+            }
 
     # ------------------------------------------------------------------ #
     # request handling
@@ -743,11 +705,7 @@ class AggregationService:
                 if self._wal is not None
                 else None
             ),
-            "checkpoint": {
-                "path": self._checkpoint_path,
-                "every": self._checkpoint_every,
-                "written": self._checkpoints_written,
-            },
+            "checkpoint": {"written": self._checkpoints_written},
             "store": (
                 {
                     "dir": engine.store.directory,
@@ -780,9 +738,9 @@ class AggregationService:
         except SerializationError as exc:
             raise HttpError(400, str(exc)) from exc
         batch_spec = header.get("protocol")
-        if batch_spec is not None and _spec_sans_postprocess(
+        if batch_spec is not None and statistics_spec(
             batch_spec
-        ) != _spec_sans_postprocess(self._spec):
+        ) != statistics_spec(self._spec):
             raise HttpError(
                 409,
                 "batch was encoded for a different protocol configuration: "
@@ -797,11 +755,12 @@ class AggregationService:
                 keep_alive=request.keep_alive,
             )
 
-        # Epoch barrier: wait out an in-progress close, then reserve our
-        # slot synchronously (no awaits between the checks below) so the
-        # epoch we stamp is the epoch our reports are merged into.
-        while self._closing:
-            await self._close_done.wait()
+        # Ingest barrier: wait out an in-progress close or repair, then
+        # reserve our slot synchronously (no awaits between the checks
+        # below) so the epoch we stamp is the epoch our reports are
+        # merged into.
+        while self._ingest_held:
+            await self._ingest_released.wait()
         key = request.headers.get("idempotency-key")
         if key is None:
             key = f"auto:{next(self._auto_keys)}"
@@ -842,34 +801,13 @@ class AggregationService:
                         503, f"shard workers unavailable: {exc}"
                     ) from exc
                 # With a WAL the batch is durable the moment it is
-                # logged; the supervisor's respawn replay delivers it.
-                worker = -1
+                # logged; the respawn replay delivers it.  No repair can
+                # run before this ingest lands (it holds the ingest
+                # barrier), so the replay is sure to see the record.
+                worker = self._batches_accepted % len(self._pool)
                 deferred = True
             try:
-                if deferred:
-                    # Under the repair lock a respawn replay cannot scan
-                    # the log between the shard assignment and the append
-                    # landing (it would miss this record and nothing
-                    # would ever deliver it).  Re-check the pool first: a
-                    # shard that just came back takes the batch directly.
-                    async with self._repair_lock:
-                        try:
-                            worker = self._pool.pick_worker()
-                            deferred = False
-                        except PoolSaturatedError:
-                            # Workers revived mid-request but are full;
-                            # the inflight bound is advisory backpressure
-                            # -- deliver anyway rather than strand the
-                            # batch behind a dead shard.
-                            worker = next(
-                                w.index for w in self._pool.workers if w.alive
-                            )
-                            deferred = False
-                        except NoAliveWorkersError:
-                            worker = self._batches_accepted % len(self._pool)
-                        await self._append_wal(epoch, blob, key, worker, n_users)
-                else:
-                    await self._append_wal(epoch, blob, key, worker, n_users)
+                await self._append_wal(epoch, blob, key, worker, n_users)
             except OSError as exc:
                 del self._seen_keys[key]
                 raise HttpError(503, f"ingest log write failed: {exc}") from exc
@@ -946,17 +884,13 @@ class AggregationService:
         return json_response(200, result, keep_alive=request.keep_alive)
 
     async def _handle_checkpoint(self, request: HttpRequest) -> bytes:
-        if self._checkpoint_path is None and not self._store_backed:
-            raise HttpError(
-                409, "service was started without a checkpoint path or store"
-            )
+        if not self._store_backed:
+            raise HttpError(409, "service was started without a store")
         await self._write_checkpoint()
-        store = self._engine.store
         return json_response(
             200,
             {
-                "checkpoint": self._checkpoint_path,
-                "store_dir": store.directory if store is not None else None,
+                "store_dir": self._engine.store.directory,
                 "epochs": list(self._engine.epochs),
                 "written": self._checkpoints_written,
             },

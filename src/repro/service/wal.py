@@ -25,9 +25,10 @@ append-only log:
 
 Durability model: records are flushed to the OS on every append, which
 survives any *process* death (worker crash, gateway SIGKILL).  Pass
-``sync=True`` to also ``fsync`` each append and survive machine power
-loss, at a large throughput cost (measured in
-``benchmarks/bench_service.py``).
+``sync=True`` to also ``fsync`` each append -- and the log directory
+after a segment is created or sealed, so the file names themselves
+survive -- and survive machine power loss, at a large throughput cost
+(measured in ``benchmarks/bench_service.py``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.core.serialization import (
     pack_wal_segment_header,
     scan_wal_segment,
 )
+from repro.engine.store import _fsync_directory
 
 #: Suffix of a segment still accepting appends (its epoch is in flight).
 OPEN_SUFFIX = ".open"
@@ -109,6 +111,8 @@ class IngestWAL:
             if fresh:
                 handle.write(pack_wal_segment_header(epoch))
                 handle.flush()
+                if self.sync:
+                    _fsync_directory(self.directory)
             self._handles[epoch] = handle
         return handle
 
@@ -153,6 +157,8 @@ class IngestWAL:
         path = self.segment_path(epoch)
         if os.path.exists(path):
             os.replace(path, self.segment_path(epoch, sealed=True))
+            if self.sync:
+                _fsync_directory(self.directory)
 
     def discard(self, epoch: int) -> None:
         """Delete an epoch's segment (open or sealed): it is durable elsewhere."""

@@ -4,15 +4,15 @@ Two guarantees anchor the refactor:
 
 * **Bit-identity**: under a fixed seed, flat / hierarchical / Haar outputs
   through the generic ``DecompositionClient`` / ``DecompositionServer`` /
-  ``run_simulated`` engine are identical to the pre-refactor per-family
+  ``simulate_aggregate`` engine are identical to the pre-refactor per-family
   implementations.  ``tests/data/golden_decomposition.json`` holds the
   exact (hex-float) frequencies captured from the seed code for 14
   configurations x 3 execution paths; HRR-based paths are allowed a
   <= 1e-12 drift, everything else must match exactly.
 * **Codec unification**: the single :class:`~repro.core.session.LevelReport`
-  codec keeps reading the legacy per-family wire layouts (bare ``payload``
-  for flat, ``heights`` for Haar) under their registered decoder names, so
-  reports serialized before the unification still load.
+  codec serves every family.  Reports are untrusted input, so the legacy
+  per-family wire layouts (bare ``payload`` for flat, ``heights`` for
+  Haar) are rejected as :class:`SerializationError`.
 """
 
 import json
@@ -23,15 +23,8 @@ import pytest
 
 from repro import FlatRangeQuery, HaarHRR, HierarchicalHistogram
 from repro.core.decomposition import Decomposition
-from repro.core.session import (
-    FlatReport,
-    HaarReport,
-    HierarchicalReport,
-    LevelReport,
-    Report,
-    _pack_payload,
-)
-from repro.core.serialization import pack_blob
+from repro.core.session import LevelReport, Report, _pack_payload
+from repro.core.serialization import SerializationError, pack_blob
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_decomposition.json"
 
@@ -169,7 +162,7 @@ class TestUnifiedReportCodec:
         assert sorted(revived.level_payloads) == sorted(report.level_payloads)
         assert np.array_equal(revived.level_user_counts, report.level_user_counts)
 
-    def test_legacy_flat_layout_still_loads(self):
+    def test_legacy_flat_layout_is_rejected(self):
         protocol = FlatRangeQuery(64, 1.1, oracle="oue")
         _, report = self._report_for(protocol)
         # Re-create the pre-unification flat wire layout: a bare payload
@@ -179,13 +172,10 @@ class TestUnifiedReportCodec:
             {"report_kind": "flat", "n_users": report.n_users, "payload": meta},
             arrays,
         )
-        revived = Report.from_bytes(legacy)
-        assert isinstance(revived, LevelReport)
-        direct = protocol.server().ingest(report).finalize().estimated_frequencies()
-        via_legacy = protocol.server().ingest(revived).finalize().estimated_frequencies()
-        assert np.array_equal(direct, via_legacy)
+        with pytest.raises(SerializationError, match="levels"):
+            Report.from_bytes(legacy)
 
-    def test_legacy_haar_layout_still_loads(self):
+    def test_legacy_haar_layout_is_rejected(self):
         protocol = HaarHRR(64, 1.1)
         _, report = self._report_for(protocol)
         # Re-create the pre-unification Haar wire layout: payloads keyed by
@@ -206,10 +196,8 @@ class TestUnifiedReportCodec:
             },
             arrays,
         )
-        revived = Report.from_bytes(legacy)
-        direct = protocol.server().ingest(report).finalize().estimated_frequencies()
-        via_legacy = protocol.server().ingest(revived).finalize().estimated_frequencies()
-        assert np.array_equal(direct, via_legacy)
+        with pytest.raises(SerializationError, match="levels"):
+            Report.from_bytes(legacy)
 
     def test_unregistered_families_decode_through_the_unified_layout(self):
         # A brand-new Decomposition subclass gets wire round-trips without
@@ -226,30 +214,3 @@ class TestUnifiedReportCodec:
         assert revived.family == "somenewfamily"
         assert sorted(revived.level_payloads) == [1, 3]
         assert np.array_equal(revived.level_user_counts, report.level_user_counts)
-
-    def test_back_compat_constructors(self):
-        # The per-family report subclasses are deprecation shims now: they
-        # must still behave exactly like LevelReport, but warn.
-        with pytest.warns(DeprecationWarning, match="LevelReport"):
-            flat = FlatReport(payload=None, n_users=0)
-        assert flat.family == "flat" and flat.payload is None
-        with pytest.warns(DeprecationWarning, match="LevelReport"):
-            hierarchical = HierarchicalReport({}, np.zeros(4, np.int64), 0)
-        assert hierarchical.family == "hierarchical"
-        with pytest.warns(DeprecationWarning, match="LevelReport"):
-            haar = HaarReport({}, np.zeros(4, np.int64), 0)
-        assert haar.family == "haar" and haar.height_payloads == {}
-        for report in (flat, hierarchical, haar):
-            revived = Report.from_bytes(report.to_bytes())
-            assert isinstance(revived, LevelReport)
-            assert revived.family == report.family
-
-    def test_run_simulated_is_a_deprecated_alias(self):
-        protocol = FlatRangeQuery(16, 1.1, oracle="oue")
-        counts = np.full(16, 20)
-        direct = protocol.simulate_aggregate(counts, rng=np.random.default_rng(5))
-        with pytest.warns(DeprecationWarning, match="simulate_aggregate"):
-            legacy = protocol.run_simulated(counts, rng=np.random.default_rng(5))
-        assert np.array_equal(
-            direct.estimated_frequencies(), legacy.estimated_frequencies()
-        )

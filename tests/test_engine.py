@@ -6,10 +6,10 @@ Three guarantees anchor the engine layer:
   with ``window="all"`` reproduces ``protocol.run`` exactly, pinned
   against the same hex-float goldens as the decomposition engine for all
   14 configurations (HRR-based cases keep their <= 1e-12 allowance).
-* **Durability**: engine -> checkpoint -> restore -> estimator is
+* **Durability**: engine -> epoch store -> restore -> estimator is
   bit-identical for every registry handle (flat, tree, wavelet alias,
   grid2d), epochs merge exactly in any order, and pre-engine v1 payloads
-  (bare server states) still restore through the v2 codec.
+  (bare server states) still adopt as single-epoch engines.
 * **Window semantics**: ``all`` / ``last(k)`` / explicit epoch lists
   resolve deterministically and fail loudly on unknown epochs.
 """
@@ -21,12 +21,8 @@ from test_decomposition import CASES, HRR_CASES, _expected, golden  # noqa: F401
 
 from repro import HierarchicalGrid2D, HierarchicalHistogram, make_protocol
 from repro.core.exceptions import ProtocolUsageError
-from repro.core.serialization import (
-    MAGIC_V2,
-    SerializationError,
-    blob_version,
-    pack_blob,
-)
+from repro.core.serialization import SerializationError, blob_version
+from repro.core.session import load_server
 from repro.engine import Engine, InvalidWindowError, last, parse_window, resolve_window
 
 
@@ -51,12 +47,15 @@ class TestGoldenBitIdentity:
         _check(case, estimator.estimated_frequencies(), _expected(golden, case, "run"))
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_checkpoint_restore_preserves_goldens(self, golden, case):
+    def test_checkpoint_restore_preserves_goldens(self, golden, case, tmp_path):
         protocol = CASES[case]()
         items = np.random.default_rng(0).integers(0, protocol.domain_size, size=600)
-        engine = Engine.open(protocol)
+        store_dir = str(tmp_path / "store")
+        engine = Engine.open(protocol, store_dir=store_dir)
         engine.session().absorb(items, rng=np.random.default_rng(9))
-        restored = Engine.from_bytes(engine.to_bytes())
+        engine.seal_epoch(0)
+        restored = Engine.open(None, store_dir=store_dir)
+        assert restored.sealed_epochs == (0,)
         _check(
             case,
             restored.estimator().estimated_frequencies(),
@@ -98,9 +97,9 @@ def _fingerprint(protocol, estimator) -> np.ndarray:
 
 @pytest.mark.parametrize("handle", sorted(HANDLES))
 class TestCheckpointRestoreRoundTrip:
-    def _engine(self, handle, n_epochs=3):
+    def _engine(self, handle, n_epochs=3, store_dir=None):
         protocol = make_protocol(handle, 16, 1.2, **HANDLES[handle])
-        engine = Engine.open(protocol)
+        engine = Engine.open(protocol, store_dir=store_dir)
         rng = np.random.default_rng(7)
         for epoch in range(n_epochs):
             engine.session(epoch=epoch).ingest(
@@ -109,12 +108,10 @@ class TestCheckpointRestoreRoundTrip:
         return protocol, engine
 
     def test_round_trip_is_bit_identical(self, handle, tmp_path):
-        protocol, engine = self._engine(handle)
-        path = str(tmp_path / "service.ckpt")
-        engine.checkpoint(path)
-        with open(path, "rb") as fh:
-            assert blob_version(fh.read()) == 2
-        restored = Engine.restore(path)
+        store_dir = str(tmp_path / "store")
+        protocol, engine = self._engine(handle, store_dir=store_dir)
+        engine.checkpoint()
+        restored = Engine.open(None, store_dir=store_dir)
         assert restored.epochs == engine.epochs
         assert restored.n_reports() == engine.n_reports()
         for window in ("all", last(2), [0, 2]):
@@ -152,7 +149,8 @@ class TestCheckpointRestoreRoundTrip:
         server = engine.session(epoch=0).server
         blob = server.state.copy().to_bytes()  # a pre-engine v1 payload
         assert blob_version(blob) == 1
-        restored = Engine.from_bytes(blob)
+        restored = Engine.open(load_server(blob).protocol)
+        restored.adopt_state(blob)
         assert restored.n_reports() == server.n_reports
         assert np.array_equal(
             _fingerprint(protocol, restored.estimator()),
@@ -299,42 +297,33 @@ class TestEngineLifecycle:
         with pytest.raises(ProtocolUsageError, match="aggregate simulation"):
             engine.simulate(np.ones(16))
 
-    def test_checkpoint_envelope_is_v2_and_self_describing(self):
-        engine = Engine.open("flat", domain_size=8, epsilon=1.0)
-        engine.session().absorb(np.arange(8), rng=0)
-        blob = engine.to_bytes()
-        assert blob.startswith(MAGIC_V2)
-        # A structurally valid blob that is neither a checkpoint nor a
-        # server state must be refused.
-        with pytest.raises(SerializationError, match="not an engine checkpoint"):
-            Engine.from_bytes(pack_blob({"file_kind": "something-else"}))
-
-    def test_corrupt_epoch_child_names_the_failing_epoch(self):
-        from repro.core.serialization import unpack_blob
-
-        engine = Engine.open("flat", domain_size=8, epsilon=1.0)
+    def test_corrupt_epoch_child_names_the_failing_epoch(self, tmp_path):
+        store = tmp_path / "store"
+        engine = Engine.open("flat", domain_size=8, epsilon=1.0, store_dir=str(store))
         for epoch in range(3):
             engine.session(epoch=epoch).absorb(np.arange(8), rng=epoch)
-        header, arrays = unpack_blob(engine.to_bytes())
-        child = bytearray(arrays["epoch_1"])
-        child[len(child) // 2] ^= 0x40  # flip one bit inside epoch 1's shard
-        arrays["epoch_1"] = bytes(child)
+            engine.seal_epoch(epoch)
+        segment = store / "epoch-00000001.seg"
+        data = bytearray(segment.read_bytes())
+        data[len(data) // 2] ^= 0x40  # flip one bit inside epoch 1's shard
+        segment.write_bytes(bytes(data))
+        restored = Engine.open(None, store_dir=str(store))
         with pytest.raises(SerializationError, match="epoch 1"):
-            Engine.from_bytes(pack_blob(header, arrays, version=2))
+            restored.estimator([1])
 
     def test_checkpoint_overwrites_atomically(self, tmp_path):
-        engine = Engine.open("flat", domain_size=8, epsilon=1.0)
+        store = tmp_path / "store"
+        engine = Engine.open("flat", domain_size=8, epsilon=1.0, store_dir=str(store))
         engine.session().absorb(np.arange(8), rng=0)
-        path = str(tmp_path / "svc.ckpt")
-        engine.checkpoint(path)
-        first = (tmp_path / "svc.ckpt").read_bytes()
+        engine.checkpoint()
+        first = (store / "MANIFEST.json").read_bytes()
         engine.session().absorb(np.arange(8), rng=1)
-        engine.checkpoint(path)  # rewrite over the existing file
-        second = (tmp_path / "svc.ckpt").read_bytes()
+        engine.checkpoint()  # rewrite over the existing manifest
+        second = (store / "MANIFEST.json").read_bytes()
         assert second != first
-        assert Engine.restore(path).n_reports() == 16
-        # The temp sibling used for the atomic rename never lingers.
-        assert [p.name for p in tmp_path.iterdir()] == ["svc.ckpt"]
+        assert Engine.open(None, store_dir=str(store)).n_reports() == 16
+        # The temp siblings used for the atomic renames never linger.
+        assert not [p.name for p in store.iterdir() if ".tmp" in p.name]
 
     def test_server_snapshot_restore_round_trip(self):
         protocol = HierarchicalHistogram(32, 1.1, branching=4)
@@ -371,14 +360,14 @@ class TestEngineCli:
         from repro.cli import main
 
         (report,) = self._encode(tmp_path)
-        path = str(tmp_path / "svc.ckpt")
-        # --epoch on a brand-new checkpoint must key the first shard,
+        store_dir = str(tmp_path / "store")
+        # --epoch on a brand-new store must key the first shard,
         # e.g. a service using dates (20260730) rather than 0, 1, 2...
         assert main([
-            "engine", "checkpoint", "--checkpoint", path,
+            "engine", "checkpoint", "--store-dir", store_dir,
             "--reports", report, "--epoch", "20260730",
         ]) == 0
-        assert Engine.restore(path).epochs == (20260730,)
+        assert Engine.open(None, store_dir=store_dir).epochs == (20260730,)
 
     def test_aggregate_output_is_byte_identical_to_a_plain_server(self, tmp_path):
         from repro.cli import main

@@ -12,8 +12,8 @@ Four guarantees anchor the pipeline layer:
   processors match the relocated constrained-inference math, and the grid
   processor reconciles shared marginals.
 * **Round-trips**: pipeline spellings survive ``spec()`` ->
-  ``protocol_from_spec``, serialized states, report files, engine
-  checkpoints and the CLI ``--postprocess`` flag.
+  ``protocol_from_spec``, serialized states, report files, epoch
+  stores and the CLI ``--postprocess`` flag.
 * **Accuracy**: on the ablation sweep's synthetic populations NormSub
   never increases the whole-workload range-query MSE of flat OUE.
 """
@@ -415,21 +415,6 @@ class TestWithConsistency:
         )
 
 
-class TestDeprecatedConsistencyAlias:
-    """Satellite: the legacy entry point warns but stays behavior-identical."""
-
-    def test_enforce_consistency_warns_and_matches(self):
-        from repro.hierarchy.consistency import enforce_consistency
-
-        rng = np.random.default_rng(19)
-        levels = [np.array([1.0]), rng.normal(0.25, 0.02, 4), rng.normal(0.0625, 0.02, 16)]
-        with pytest.warns(DeprecationWarning, match="postprocess"):
-            legacy = enforce_consistency(levels, 4, root_value=1.0)
-        canonical = tree_enforce_consistency(levels, 4, root_value=1.0)
-        for a, b in zip(legacy, canonical):
-            assert np.array_equal(a, b)
-
-
 # --------------------------------------------------------------------- #
 # acceptance: NormSub on the ablation sweep's populations
 # --------------------------------------------------------------------- #
@@ -534,14 +519,15 @@ class TestRoundTrips:
 
     def test_engine_checkpoint_round_trip_and_override(self, tmp_path):
         protocol = make_protocol("flat", 32, 1.1, postprocess="norm_sub")
-        engine = Engine.open(protocol)
+        store_dir = str(tmp_path / "store")
+        engine = Engine.open(protocol, store_dir=store_dir)
         rng = np.random.default_rng(26)
         engine.session(epoch=0).absorb(rng.integers(0, 32, 400), rng=rng)
         engine.session(epoch=1).absorb(rng.integers(0, 32, 400), rng=rng)
-        path = str(tmp_path / "svc.ckpt")
-        engine.checkpoint(path)
-        restored = Engine.restore(path)
+        engine.checkpoint()
+        restored = Engine.open(None, store_dir=store_dir)
         assert restored.spec()["postprocess"] == "norm_sub"
+        restored.session(epoch=1)  # live again, so both views share it
         frequencies = restored.estimator().estimated_frequencies()
         assert np.isclose(frequencies.sum(), 1.0, atol=1e-9)
         # Re-finalize the same shards under a different pipeline.
@@ -626,13 +612,13 @@ class TestCliPostprocess:
 
     def test_engine_query_postprocess_override(self, tmp_path, capsys):
         reports = self._encode(tmp_path)
-        checkpoint = tmp_path / "svc.ckpt"
+        store_dir = tmp_path / "store"
         cli_main(
             [
                 "engine",
                 "checkpoint",
-                "--checkpoint",
-                str(checkpoint),
+                "--store-dir",
+                str(store_dir),
                 "--reports",
                 str(reports),
             ]
@@ -642,8 +628,8 @@ class TestCliPostprocess:
             [
                 "engine",
                 "query",
-                "--checkpoint",
-                str(checkpoint),
+                "--store-dir",
+                str(store_dir),
                 "--dump-frequencies",
                 "--postprocess",
                 "norm_sub",
@@ -659,13 +645,13 @@ class TestCliPostprocess:
 
     def test_engine_query_surfaces_window_errors(self, tmp_path, capsys):
         reports = self._encode(tmp_path)
-        checkpoint = tmp_path / "svc.ckpt"
+        store_dir = tmp_path / "store"
         cli_main(
             [
                 "engine",
                 "checkpoint",
-                "--checkpoint",
-                str(checkpoint),
+                "--store-dir",
+                str(store_dir),
                 "--reports",
                 str(reports),
             ]
@@ -675,8 +661,8 @@ class TestCliPostprocess:
                 [
                     "engine",
                     "query",
-                    "--checkpoint",
-                    str(checkpoint),
+                    "--store-dir",
+                    str(store_dir),
                     "--window",
                     "last:9",
                     "--ranges",

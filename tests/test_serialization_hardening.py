@@ -4,11 +4,14 @@ The contract: *any* malformed byte input -- wrong magic, truncation at any
 offset, garbage JSON, corrupt npy blocks, mutated-but-parseable headers --
 surfaces as :class:`SerializationError` with offset context, never as a
 raw ``struct.error`` / ``KeyError`` / ``UnicodeDecodeError`` from the
-decoder internals.  Fuzz-style sweeps mutate valid envelopes to exercise
-every decode stage.
+decoder internals.  Fuzz-style sweeps mutate valid envelopes -- and the
+manifest and segments of a sealed epoch store -- to exercise every decode
+stage.
 """
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro.core.serialization import (
     unpack_blob,
 )
 from repro.core.session import AccumulatorState, Report
+from repro.engine import Engine
 
 
 @pytest.fixture(scope="module")
@@ -173,26 +177,47 @@ class TestFuzzedEnvelopes:
                 assert isinstance(report, Report)
         assert failures > 0
 
-    def test_fuzzed_engine_checkpoints(self):
-        from repro.engine import Engine
+    @pytest.fixture(scope="class")
+    def store_dir(self, tmp_path_factory) -> str:
+        store_dir = str(tmp_path_factory.mktemp("fuzz") / "store")
+        engine = Engine.open(
+            "hh", domain_size=16, epsilon=1.1, branching=4, store_dir=store_dir
+        )
+        for epoch in range(3):
+            engine.session(epoch=epoch).absorb(np.arange(16), rng=epoch)
+            engine.seal_epoch(epoch)
+        engine.checkpoint()
+        return store_dir
 
-        engine = Engine.open("hh", domain_size=16, epsilon=1.1, branching=4)
-        engine.session().absorb(np.arange(16), rng=0)
-        blob = engine.to_bytes()
-        rng = np.random.default_rng(3)
+    def _fuzz_store_file(self, store_dir, name, seed, tmp_path):
+        """Mutate one file of a sealed store, then open it and query."""
+        with open(os.path.join(store_dir, name), "rb") as handle:
+            blob = handle.read()
+        rng = np.random.default_rng(seed)
         failures = 0
-        for mutated in _mutations(blob, rng, self.ROUNDS):
+        for index, mutated in enumerate(_mutations(blob, rng, self.ROUNDS)):
+            copy = str(tmp_path / f"copy-{index}")
+            shutil.copytree(store_dir, copy)
+            with open(os.path.join(copy, name), "wb") as handle:
+                handle.write(mutated)
             try:
-                restored = Engine.from_bytes(mutated)
+                engine = Engine.open(None, store_dir=copy)
+                for window in ("all", *([epoch] for epoch in engine.epochs)):
+                    engine.estimator(window).estimated_frequencies()
             except SerializationError:
                 failures += 1
             except Exception as exc:  # noqa: BLE001 - the assertion target
                 raise AssertionError(
-                    f"fuzzed checkpoint leaked {type(exc).__name__}: {exc}"
+                    f"fuzzed {name} leaked {type(exc).__name__}: {exc}"
                 ) from exc
-            else:
-                assert isinstance(restored, Engine)
-        assert failures > 0
+            shutil.rmtree(copy)
+        assert failures > 0  # the sweep must actually hit decode errors
+
+    def test_fuzzed_store_manifest(self, store_dir, tmp_path):
+        self._fuzz_store_file(store_dir, "MANIFEST.json", 3, tmp_path)
+
+    def test_fuzzed_store_segment(self, store_dir, tmp_path):
+        self._fuzz_store_file(store_dir, "epoch-00000001.seg", 4, tmp_path)
 
     def test_mutated_but_valid_json_headers_fail_as_decode_errors(self, server_blob):
         # Surgically corrupt *semantic* header fields while keeping the

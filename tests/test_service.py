@@ -6,10 +6,10 @@ Three guarantees anchor the service layer:
   of workers, any round-robin interleaving -- answers queries exactly as
   a single process ingesting the same framed batches would.  Merge is
   exact, so scale-out is never an accuracy trade.
-* **Durability**: epoch closes checkpoint through the v2 engine
-  envelope; a hard kill loses only the un-checkpointed epoch in flight,
-  and a restart from the checkpoint resumes with every closed epoch
-  intact and ingestion continuing on a fresh key.
+* **Durability**: epoch closes seal and checkpoint the epoch store; a
+  hard kill loses only the un-checkpointed epoch in flight, and a
+  restart from the store resumes with every closed epoch intact and
+  ingestion continuing on a fresh key.
 * **Wire hygiene**: the framed batch codec round-trips reports exactly
   and fails loudly (with offsets) on malformed input, and the gateway
   maps every failure mode onto a meaningful HTTP status instead of
@@ -306,13 +306,11 @@ class TestGatewayEndToEnd:
 
 class TestCheckpointRecovery:
     def test_kill_and_restore_loses_no_closed_epoch(self, tmp_path):
-        path = str(tmp_path / "service.ckpt")
+        store_dir = str(tmp_path / "store")
         protocol, reports = encode_reports(SPEC, 300, seed=10, chunks=6)
         blobs = [pack_report_batch(protocol.spec(), [report]) for report in reports]
 
-        service = AggregationService(
-            SPEC, num_workers=2, checkpoint_path=path, checkpoint_every=1
-        )
+        service = AggregationService(SPEC, num_workers=2, store_dir=store_dir)
         handle = ServiceThread(service).start()
         url = handle.url
         for blob in blobs[:3]:
@@ -326,7 +324,7 @@ class TestCheckpointRecovery:
         request_json(url + "/ingest", method="POST", body=blobs[5])
         handle.stop(flush=False)
 
-        restored = AggregationService.from_checkpoint(path, num_workers=2)
+        restored = AggregationService.from_store(store_dir, num_workers=2)
         assert restored.engine.epochs == (0, 1)
         assert restored.current_epoch == 2
         with ServiceThread(restored) as handle2:
@@ -342,9 +340,9 @@ class TestCheckpointRecovery:
             assert windows["epochs"] == [2]
 
     def test_graceful_stop_flushes_the_open_epoch(self, tmp_path):
-        path = str(tmp_path / "flush.ckpt")
+        store_dir = str(tmp_path / "store")
         protocol, reports = encode_reports(SPEC, 100, seed=11, chunks=2)
-        service = AggregationService(SPEC, num_workers=2, checkpoint_path=path)
+        service = AggregationService(SPEC, num_workers=2, store_dir=store_dir)
         with ServiceThread(service) as handle:
             for report in reports:
                 request_json(
@@ -355,9 +353,69 @@ class TestCheckpointRecovery:
             # no explicit /close: the context exit flushes
         from repro.engine import Engine
 
-        engine = Engine.restore(path)
+        engine = Engine.open(None, store_dir=store_dir)
         assert engine.epochs == (0,)
         assert engine.n_reports() == 100
+
+    def test_every_store_backed_close_checkpoints(self, tmp_path):
+        import os
+
+        blobs, _ = make_blobs(SPEC, 90, seed=12, chunks=3)
+        wal_dir = tmp_path / "wal"
+        service = AggregationService(
+            SPEC, num_workers=2, store_dir=str(tmp_path / "store"),
+            wal_dir=str(wal_dir),
+        )
+        with ServiceThread(service) as handle:
+            url = handle.url
+            for index, blob in enumerate(blobs):
+                request_json(url + "/ingest", method="POST", body=blob)
+                closed = request_json(url + "/close", method="POST")
+                assert closed["checkpointed"] is True
+                assert closed["epochs"] == list(range(index + 1))
+                stats = request_json(url + "/stats")
+                assert stats["checkpoint"] == {"written": index + 1}
+                # the store covers every closed epoch, so the WAL keeps
+                # no sealed segment behind
+                assert not [
+                    name for name in os.listdir(wal_dir)
+                    if name.endswith(".closed")
+                ]
+
+    def test_checkpoint_endpoint_needs_a_store(self, tmp_path):
+        with ServiceThread(AggregationService(SPEC, num_workers=1)) as handle:
+            with pytest.raises(RuntimeError, match="409.*without a store"):
+                request_json(handle.url + "/checkpoint", method="POST")
+            closed = request_json(handle.url + "/close", method="POST")
+            assert closed["closed"] is False
+            stats = request_json(handle.url + "/stats")
+            assert stats["checkpoint"] == {"written": 0}
+        store_dir = str(tmp_path / "store")
+        service = AggregationService(SPEC, num_workers=1, store_dir=store_dir)
+        with ServiceThread(service) as handle:
+            reply = request_json(handle.url + "/checkpoint", method="POST")
+            assert reply == {"store_dir": store_dir, "epochs": [], "written": 1}
+
+    @pytest.mark.chaos
+    def test_service_process_reopens_an_existing_store(self, tmp_path):
+        from repro.engine import Engine
+
+        blobs, reference = make_blobs(SPEC, 120, seed=13, chunks=4)
+        options = dict(
+            store_dir=str(tmp_path / "store"), wal_dir=str(tmp_path / "wal"),
+            num_workers=1,
+        )
+        with ServiceProcess(SPEC, **options) as first:
+            for blob in blobs[:2]:
+                request_json(first.url + "/ingest", method="POST", body=blob)
+            assert request_json(first.url + "/close", method="POST")["epoch"] == 0
+        with ServiceProcess(SPEC, **options) as second:
+            for blob in blobs[2:]:
+                request_json(second.url + "/ingest", method="POST", body=blob)
+            closed = request_json(second.url + "/close", method="POST")
+            assert closed["epoch"] == 1 and closed["epochs"] == [0, 1]
+            assert_matches_reference(second.url, reference)
+        assert Engine.open(None, store_dir=options["store_dir"]).epochs == (0, 1)
 
 
 class TestLoadgen:
@@ -444,6 +502,52 @@ class TestFaultTolerance:
             assert stats["replayed_batches"] >= 1
 
     @pytest.mark.chaos
+    def test_ingest_during_supervisor_repair_is_delivered_once(
+        self, tmp_path, monkeypatch
+    ):
+        # Hold the supervisor's repair open between the replacement
+        # worker appearing in the pool and the WAL replay: an ingest that
+        # reached the replacement in that gap would be replayed a second
+        # time.  The repair holds the ingest barrier, so it cannot.
+        import time
+
+        swapped = threading.Event()
+        original_respawn = WorkerPool.respawn
+
+        def slow_respawn(pool, index):
+            replacement = original_respawn(pool, index)
+            swapped.set()
+            time.sleep(0.3)
+            return replacement
+
+        monkeypatch.setattr(WorkerPool, "respawn", slow_respawn)
+        blobs, reference = make_blobs(SPEC, 240, seed=27, chunks=8)
+        service = AggregationService(
+            SPEC, num_workers=2, wal_dir=str(tmp_path / "wal"),
+            supervise_interval=0.05,
+        )
+        with ServiceThread(service) as handle:
+            url = handle.url
+            for index, blob in enumerate(blobs[:4]):
+                request_json(
+                    url + "/ingest", method="POST", body=blob,
+                    headers={"Idempotency-Key": f"rp:{index}"},
+                )
+            kill_worker(handle, 0)
+            assert swapped.wait(timeout=30)
+            for index, blob in enumerate(blobs[4:], start=4):
+                request_json(
+                    url + "/ingest", method="POST", body=blob,
+                    headers={"Idempotency-Key": f"rp:{index}"},
+                )
+            closed = request_json(url + "/close", method="POST")
+            assert closed["reports"] == 240
+            assert_matches_reference(url, reference)
+            stats = request_json(url + "/stats")
+            assert stats["restart_count"] == 1
+            assert stats["replayed_batches"] == 2
+
+    @pytest.mark.chaos
     def test_all_workers_dead_defers_to_wal_and_recovers(self, tmp_path):
         blobs, reference = make_blobs(SPEC, 120, seed=21, chunks=4)
         service = AggregationService(
@@ -478,10 +582,9 @@ class TestFaultTolerance:
     def test_gateway_sigkill_mid_epoch_replays_from_wal(self, tmp_path):
         blobs, reference = make_blobs(SPEC, 250, seed=22, chunks=5)
         wal_dir = str(tmp_path / "wal")
-        ckpt = str(tmp_path / "service.ckpt")
+        store_dir = str(tmp_path / "store")
         with ServiceProcess(
-            SPEC, checkpoint_path=ckpt, wal_dir=wal_dir,
-            num_workers=2, checkpoint_every=1,
+            SPEC, store_dir=store_dir, wal_dir=wal_dir, num_workers=2,
         ) as victim:
             url = victim.url
             for index, blob in enumerate(blobs[:3]):
@@ -499,8 +602,8 @@ class TestFaultTolerance:
                 )
             victim.kill()
 
-        restored = AggregationService.from_checkpoint(
-            ckpt, num_workers=2, wal_dir=wal_dir
+        restored = AggregationService.from_store(
+            store_dir, num_workers=2, wal_dir=wal_dir
         )
         with ServiceThread(restored) as handle:
             url = handle.url

@@ -5,13 +5,14 @@ Three guarantees anchor the store layer:
 * **Bit-identity**: a store-backed engine (sealed epochs on disk,
   windows answered via segment pushdown or load-and-merge) reproduces
   the in-RAM engine exactly for all 14 golden configurations, and a
-  restart (``Engine.restore(store_dir)``) changes nothing.
+  restart (``Engine.open(None, store_dir=store_dir)``) changes nothing.
 * **Incrementality**: ``checkpoint()`` rewrites only dirty epochs'
   segments; clean segments stay byte-identical on disk.
 * **Fail-loud durability**: torn segment tails, spec mismatches,
-  missing segment files, and pointing the store opener at a monolithic
-  checkpoint file all raise a contextual ``SerializationError`` instead
-  of silently corrupting estimates.
+  missing segment files, and pointing the store opener at a regular file
+  (e.g. a checkpoint in the removed monolithic format) all raise a
+  contextual ``SerializationError`` instead of silently corrupting
+  estimates.
 """
 
 import json
@@ -29,11 +30,13 @@ from repro import make_protocol
 from repro.core.serialization import (
     MAGIC_SEG,
     SerializationError,
+    pack_blob,
     pack_epoch_segment,
     read_epoch_segment,
     segment_pushdown_children,
     segment_state_bytes,
 )
+from repro.core.session import statistics_spec
 from repro.engine import Engine, EpochStore, last, spec_fingerprint, split_window
 
 
@@ -133,6 +136,37 @@ def _paired_engines(factory, tmp_path, n_epochs=3, n_users=200):
     return protocol, in_ram, stored
 
 
+class TestSpecFingerprint:
+    def test_golden_spec_fingerprint_is_stable(self):
+        # Every manifest records this hash: if it drifts, existing stores
+        # no longer open, so it is pinned to the value stores were
+        # written with.  Assembly-only keys do not enter it.
+        expected = "bb4a2dca93e4a3bccbb1e086246a8dc0db087df0dd176fe9ee10c70d9def2076"
+        spec = make_protocol("hh", 64, 1.1, branching=4, oracle="oue").spec()
+        assert spec_fingerprint(spec) == expected
+        piped = make_protocol(
+            "hh", 64, 1.1, branching=4, oracle="oue",
+            postprocess="consistency+norm_sub",
+        ).spec()
+        assert piped != spec
+        assert statistics_spec(piped) == statistics_spec(spec)
+        assert spec_fingerprint(piped) == expected
+
+    def test_statistics_spec_strips_only_assembly_keys(self):
+        spec = make_protocol(
+            "hh", 64, 1.1, branching=4, oracle="oue",
+            postprocess="consistency+norm_sub",
+        ).spec()
+        before = dict(spec)
+        stripped = statistics_spec(spec)
+        assert spec == before  # the input is not mutated
+        assert set(spec) - set(stripped) == {"postprocess", "consistency"}
+        assert all(stripped[key] == spec[key] for key in stripped)
+        # untrusted non-dict header fields pass through unchanged
+        for value in (None, "hh", ["postprocess"]):
+            assert statistics_spec(value) == value
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 class TestGoldenBitIdentity:
     def test_sealed_windows_match_in_ram(self, case, tmp_path):
@@ -149,7 +183,7 @@ class TestGoldenBitIdentity:
     def test_restore_from_store_dir_matches(self, case, tmp_path):
         _, in_ram, stored = _paired_engines(CASES[case], tmp_path)
         stored.checkpoint()
-        restored = Engine.restore(str(tmp_path / "store"))
+        restored = Engine.open(None, store_dir=str(tmp_path / "store"))
         assert restored.epochs == in_ram.epochs
         assert restored.n_reports() == in_ram.n_reports()
         _check(
@@ -171,31 +205,13 @@ class TestHandlesRoundTrip:
 
         _, in_ram, stored = _paired_engines(factory, tmp_path)
         stored.checkpoint()
-        restored = Engine.restore(str(tmp_path / "store"))
+        restored = Engine.open(None, store_dir=str(tmp_path / "store"))
         for engine in (stored, restored):
             for window in ("all", last(2)):
                 assert np.array_equal(
                     _fingerprint(protocol, engine.estimator(window)),
                     _fingerprint(protocol, in_ram.estimator(window)),
                 )
-
-    def test_monolithic_export_from_store(self, handle, tmp_path):
-        """A store-backed engine still writes classic v2 checkpoints."""
-        protocol = make_protocol(handle, 16, 1.2, **HANDLES[handle])
-
-        def factory():
-            return make_protocol(handle, 16, 1.2, **HANDLES[handle])
-
-        _, in_ram, stored = _paired_engines(factory, tmp_path)
-        path = str(tmp_path / "mono.ckpt")
-        stored.checkpoint(path)
-        restored = Engine.restore(path)
-        assert list(restored.epochs) == [0, 1, 2]
-        assert np.array_equal(
-            _fingerprint(protocol, restored.estimator()),
-            _fingerprint(protocol, in_ram.estimator()),
-        )
-
 
 class TestPushdownPlan:
     def test_oracle_children_support_pushdown(self, tmp_path):
@@ -308,7 +324,7 @@ class TestCorruption:
         path = os.path.join(store_dir, "epoch-00000001.seg")
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) - 3)
-        restored = Engine.restore(store_dir)  # lazy: restore itself succeeds
+        restored = Engine.open(None, store_dir=store_dir)  # lazy: restore itself succeeds
         # A window whose plan must read the torn leaf fails loud...
         with pytest.raises(SerializationError, match=r"epoch 1.*torn"):
             restored.estimator([1])
@@ -322,7 +338,7 @@ class TestCorruption:
     def test_missing_segment_file(self, tmp_path):
         store_dir = self._store_dir(tmp_path)
         os.remove(os.path.join(store_dir, "epoch-00000000.seg"))
-        restored = Engine.restore(store_dir)
+        restored = Engine.open(None, store_dir=store_dir)
         with pytest.raises(SerializationError, match="epoch 0"):
             restored.estimator([0])
         with pytest.raises(SerializationError, match="epoch 0"):
@@ -338,7 +354,7 @@ class TestCorruption:
         manifest["spec_hash"] = spec_fingerprint(other)
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
-        restored = Engine.restore(store_dir)
+        restored = Engine.open(None, store_dir=store_dir)
         with pytest.raises(SerializationError, match="spec"):
             restored.estimator("all")
 
@@ -348,16 +364,21 @@ class TestCorruption:
             EpochStore(store_dir, make_protocol("flat", 16, 1.2).spec())
 
     def test_monolithic_checkpoint_is_not_a_store(self, tmp_path):
-        engine = Engine.open(make_protocol("hh", 16, 1.2, branching=4))
-        engine.session(epoch=0).absorb(np.arange(16), rng=np.random.default_rng(0))
-        path = str(tmp_path / "mono.ckpt")
-        engine.checkpoint(path)
-        with pytest.raises(SerializationError, match="monolithic engine checkpoint"):
-            EpochStore(path, engine.spec())
-        with pytest.raises(SystemExit, match="monolithic"):
+        spec = make_protocol("hh", 16, 1.2, branching=4).spec()
+        path = tmp_path / "mono.ckpt"
+        # The removed format's envelope header, as such files still exist.
+        path.write_bytes(
+            pack_blob({"file_kind": "engine-checkpoint", "protocol": spec})
+        )
+        removed = "monolithic checkpoint format was removed"
+        with pytest.raises(SerializationError, match=removed):
+            EpochStore(str(path), spec)
+        with pytest.raises(SerializationError, match=removed):
+            Engine.open(None, store_dir=str(path))
+        with pytest.raises(SystemExit, match=removed):
             from repro.cli import _restore_engine
 
-            _restore_engine(store_dir=path)
+            _restore_engine(str(path))
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SerializationError, match="MANIFEST"):
@@ -405,7 +426,7 @@ class TestStoreProperties:
             in_ram.estimator("all").estimated_frequencies(),
         )
         stored.checkpoint()
-        restored = Engine.restore(str(tmp_path / "store"))
+        restored = Engine.open(None, store_dir=str(tmp_path / "store"))
         assert np.array_equal(
             restored.estimator("all").estimated_frequencies(),
             in_ram.estimator("all").estimated_frequencies(),

@@ -201,7 +201,7 @@ class TestAggregateWindows:
         keys_before = engine.store.aggregate_keys()
         assert (1, 0) in keys_before and (3, 8) in keys_before
         engine.checkpoint()
-        restored = Engine.restore(str(tmp_path / "store"))
+        restored = Engine.open(None, store_dir=str(tmp_path / "store"))
         assert restored.store.aggregate_keys() == keys_before
         _states_equal(
             restored.store.pushdown_state(list(range(16))),
@@ -235,7 +235,7 @@ class TestAggregateWindows:
             byte = handle.read(1)
             handle.seek(32)
             handle.write(bytes([byte[0] ^ 0x40]))
-        restored = Engine.restore(str(tmp_path / "store"))
+        restored = Engine.open(None, store_dir=str(tmp_path / "store"))
         healed = restored.store.pushdown_state(list(range(8)))
         _states_equal(healed, naive)  # repaired via leaves, not raised
         key = (entry["level"], entry["start"])

@@ -150,3 +150,44 @@ class TestIngestWalLifecycle:
         assert stats["sealed_segments"] == 1
         assert stats["sync"] is False
         wal.close()
+
+
+class TestWalDirectorySync:
+    """``sync=True`` makes the segment *names* durable, not only their bytes."""
+
+    @staticmethod
+    def _count_fsyncs(monkeypatch):
+        import stat
+
+        counts = {"dir": 0, "file": 0}
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            counts[kind] += 1
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        return counts
+
+    def test_create_and_seal_fsync_the_directory(self, tmp_path, monkeypatch):
+        counts = self._count_fsyncs(monkeypatch)
+        wal = IngestWAL(str(tmp_path / "wal"), sync=True)
+        wal.append(0, b"a", key="k0", worker=0, n_users=1)
+        assert counts["dir"] == 1  # the new .open segment's entry
+        wal.append(0, b"b", key="k1", worker=0, n_users=1)
+        assert counts["dir"] == 1  # appends to an existing segment do not
+        wal.seal(0)
+        assert counts["dir"] == 2  # the .open -> .closed rename
+        wal.seal(1)  # an epoch that never logged: nothing to rename
+        assert counts["dir"] == 2
+        assert counts["file"] == 3  # two appends + the seal's final flush
+        wal.close()
+
+    def test_default_path_never_fsyncs(self, tmp_path, monkeypatch):
+        counts = self._count_fsyncs(monkeypatch)
+        wal = IngestWAL(str(tmp_path / "wal"))
+        wal.append(0, b"a", key="k0", worker=0, n_users=1)
+        wal.seal(0)
+        assert counts == {"dir": 0, "file": 0}
+        wal.close()
