@@ -495,9 +495,9 @@ def command_aggregate(args: argparse.Namespace) -> int:
     """Server side of the streaming pipeline: report files -> shard state.
 
     Thin wrapper over the engine façade: one single-epoch engine ingests
-    every report file and its shard state is written in the classic v1
-    layout, so downstream ``merge`` runs (and pre-engine tooling) consume
-    it unchanged.  ``--reports -`` reads a
+    every report file and its shard state is written as a plain state
+    blob, so downstream ``merge`` runs consume it unchanged.
+    ``--reports -`` reads a
     report file or framed batch from standard input; ``--output -``
     writes the state bytes to standard output, so the whole pipeline
     composes with shell pipes.

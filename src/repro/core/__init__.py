@@ -36,13 +36,7 @@ from repro.core.exceptions import (
     ProtocolUsageError,
 )
 from repro.core.rng import ensure_rng, spawn_rngs
-from repro.core.serialization import (
-    FORMAT_VERSION,
-    SerializationError,
-    blob_version,
-    pack_blob,
-    unpack_blob,
-)
+from repro.core.serialization import SerializationError, pack_blob, unpack_blob
 from repro.core.types import Domain, PrivacyParams, RangeSpec
 from repro.core.protocol import RangeQueryEstimator, RangeQueryProtocol
 from repro.core.session import (
@@ -88,8 +82,6 @@ __all__ = [
     "InvalidWindowError",
     "ProtocolUsageError",
     "SerializationError",
-    "FORMAT_VERSION",
-    "blob_version",
     "ensure_rng",
     "spawn_rngs",
     "pack_blob",

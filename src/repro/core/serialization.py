@@ -1,78 +1,65 @@
-"""Binary wire format for accumulator states, reports and engine envelopes.
+"""Binary wire format for accumulator states, reports, batches, logs and segments.
 
 Sharded aggregation only works if the intermediate objects -- the reports
 clients upload and the sufficient-statistics accumulators servers keep --
-can cross process and machine boundaries.  This module defines the single
-container format both use:
+can cross process and machine boundaries.  Every container this module
+defines starts with the same prefix, decoded in one place
+(:func:`_read_prefix`)::
 
-``MAGIC | <u64 header length> | <JSON header> | <npy arrays, concatenated>``
+    MAGIC (9 bytes) | u64 JSON length | JSON document
 
-The JSON header carries small metadata (state kind, protocol spec, report
-counts, and -- for the exact summation accumulator -- arbitrary-precision
-integer sums, which JSON represents losslessly).  Bulk numeric payloads are
-written as standard ``.npy`` blocks in a declared order, so decoding never
-needs pickle and the format is stable across Python/numpy versions.
+and the magic names the container:
 
-Nested objects (e.g. the hierarchical accumulator's per-level oracle
-accumulators) embed each child's packed bytes as a ``uint8`` array, which
-keeps the format strictly compositional.
+* ``REPROACC\\x03`` -- a packed *blob* (:func:`pack_blob` /
+  :func:`unpack_blob`): every accumulator state and report.  The JSON
+  document is ``{"header": {...}, "arrays": [{"name", "dtype", "shape",
+  "offset"}, ...]}`` and the body after it holds each array's raw
+  little-endian bytes.  The JSON is space-padded so the body starts
+  8-byte aligned and every array sits at an 8-byte-aligned offset, so a
+  decoder views each array in place (``np.frombuffer``, read-only) with
+  no parser beyond ``json``.  The header carries small metadata (state
+  kind, protocol spec, report counts, and -- for the exact summation
+  accumulator -- arbitrary-precision integer sums, which JSON keeps
+  lossless).  Nested objects (e.g. the per-level oracle accumulators of a
+  hierarchical state) embed each child's packed bytes as a ``uint8``
+  array (:func:`pack_child`); since every level is aligned, a child's
+  arrays stay aligned at any depth.
+* ``REPROBAT\\x01`` -- a *report batch* (:func:`pack_report_batch`): the
+  ingest gateway's wire format, a JSON header with the protocol spec and
+  frame bookkeeping followed by length-prefixed packed reports, so the
+  gateway routes frames without decoding a single array.
+* ``REPROWAL\\x01`` -- a *WAL segment* (:mod:`repro.service.wal`): a
+  header naming the epoch, then CRC-protected records of a JSON meta
+  document plus one report batch.  A WAL segment is expected to be
+  *torn*, so :func:`scan_wal_segment` reports -- rather than raises on
+  -- a truncated or corrupt tail.
+* ``REPROSEG\\x02`` -- an *epoch segment* of the out-of-core store
+  (:mod:`repro.engine.store`): a JSON header naming the epoch and its
+  protocol spec hash, the epoch's packed state blob as the body, and a
+  trailing CRC32 over everything before it.  The store views the state's
+  count vectors straight out of a memory map.
 
-Two format versions coexist:
-
-* **v1** (``REPROACC\\x01``) is the original layout used by every
-  accumulator state and report.  :func:`pack_blob` keeps emitting it by
-  default so all pre-engine payloads stay byte-for-byte identical.
-* **v2** (``REPROACC\\x02``) is the *envelope* tag: the same physical
-  layout under a distinct magic, for containers whose header carries
-  envelope metadata.  :func:`unpack_blob` decodes both versions
-  transparently; :func:`blob_version` reports which one a payload uses.
-
-A third magic, ``REPROBAT\\x01``, frames *batches* of reports for network
-transport (:func:`pack_report_batch` / :func:`unpack_report_batch`): a
-JSON header carrying the protocol spec and frame bookkeeping followed by
-length-prefixed packed reports.  This is the wire protocol of the ingest
-gateway in :mod:`repro.service` -- a pure container over the v1 report
-layout, so the gateway can route frames to shard workers without
-decoding any arrays.
-
-A fourth magic, ``REPROWAL\\x01``, frames the gateway's durable ingest
-write-ahead log (:mod:`repro.service.wal`): a segment header naming the
-epoch, then CRC-protected records each carrying a small JSON meta
-document (idempotency key, shard assignment) plus one framed report
-batch.  Unlike every other format here, a WAL segment is expected to be
-*torn*: the gateway may die mid-append, so :func:`scan_wal_segment`
-recovers every intact prefix record and reports -- rather than raises
-on -- a truncated or corrupt tail.
-
-A fifth magic, ``REPROSEG\\x01``, frames one *epoch segment* of the
-out-of-core store (:mod:`repro.engine.store`): a JSON header describing
-the epoch, its protocol spec hash and the byte layout of the body, the
-body itself (the epoch's packed v1 accumulator state plus optional
-8-byte-aligned int64 *pushdown* vectors, mapped zero-copy at query
-time), and a trailing CRC32 over everything before it, so a torn or
-bit-flipped segment is detected before a single array is trusted.
-
-Malformed input of any kind -- wrong magic, truncation, garbage JSON,
-corrupt array blocks -- raises :class:`SerializationError` with the byte
-offset where decoding failed, never a raw ``struct.error`` / ``KeyError``.
+Every array descriptor is validated before it is viewed: the dtype comes
+from a fixed little-endian set, the shape is a list of non-negative ints
+whose byte size fits the blob, the offset is aligned and in bounds, and
+names are unique.  Malformed input of any kind -- wrong magic, a removed
+format version, truncation, garbage JSON, a bad array descriptor --
+raises :class:`SerializationError` with the byte offset where decoding
+failed, never a raw ``struct.error`` / ``KeyError`` / numpy error.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import struct
 import zlib
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-#: Version-1 format tag: accumulator states and reports (the pre-engine
-#: wire format, still written by default for byte-for-byte stability).
-MAGIC = b"REPROACC\x01"
-
-#: Version-2 format tag: engine envelopes (checkpoints, epoch shards).
-MAGIC_V2 = b"REPROACC\x02"
+#: Blob tag: accumulator states and reports.
+MAGIC = b"REPROACC\x03"
 
 #: Report-batch framing tag: the network wire format of the ingest
 #: gateway (:mod:`repro.service`) and of ``encode --output -``.
@@ -84,150 +71,254 @@ MAGIC_WAL = b"REPROWAL\x01"
 
 #: Epoch-segment framing tag: one sealed epoch of the out-of-core store
 #: (:mod:`repro.engine.store`), CRC-framed and memory-mappable.
-MAGIC_SEG = b"REPROSEG\x01"
-
-#: The newest format version this build reads and writes.
-FORMAT_VERSION = 2
-
-_MAGICS = {MAGIC: 1, MAGIC_V2: 2}
+MAGIC_SEG = b"REPROSEG\x02"
 
 _LENGTH = struct.Struct("<Q")
+
+_CRC = struct.Struct("<I")
+
+_ALIGN = 8
+
+#: The array dtypes a blob may hold (all little-endian or byte-sized).
+_DTYPES = {name: np.dtype(name) for name in ("|b1", "|u1", "<i8", "<f8")}
+
+#: numpy's dimension limit; deeper shapes cannot be viewed.
+_MAX_NDIM = 32
+
+#: Bound on an array's byte size, zero dimensions ignored: numpy refuses
+#: even an empty array whose other dimensions overflow its index type.
+_MAX_EXTENT = 2**62
 
 
 class SerializationError(ValueError):
     """Raised when a byte blob cannot be decoded as a packed state/report."""
 
 
-def pack_blob(
-    header: dict, arrays: Mapping[str, np.ndarray] = (), version: int = 1
-) -> bytes:
+def _pad_to(length: int) -> int:
+    """Bytes of padding needed to advance ``length`` to a multiple of 8."""
+    return (-length) % _ALIGN
+
+
+def _byte_view(data) -> memoryview:
+    """A read-only flat byte view of ``data`` (bytes, mmap, array, ...)."""
+    try:
+        view = memoryview(data)
+        if view.ndim != 1 or view.itemsize != 1:
+            view = view.cast("B")
+    except TypeError:
+        raise SerializationError(
+            f"expected bytes or a buffer, got {type(data).__name__}"
+        ) from None
+    return view.toreadonly()
+
+
+def _read_prefix(data, magic: bytes, what: str) -> Tuple[memoryview, dict, int]:
+    """Decode ``magic | u64 length | JSON object`` at the start of ``data``.
+
+    Returns ``(view, document, end)``: a read-only byte view of ``data``,
+    the decoded JSON object and the offset just past it.  A magic that
+    differs from ``magic`` only in its version byte names the removed
+    format it belongs to.
+    """
+    view = _byte_view(data)
+    head = bytes(view[: len(magic)])
+    if head != magic:
+        if len(head) == len(magic) and head[:-1] == magic[:-1]:
+            raise SerializationError(
+                f"removed format at offset 0: {head!r} is a {what} in a format "
+                f"version this build no longer reads (it reads {magic!r})"
+            )
+        raise SerializationError(
+            f"bad magic at offset 0: {head!r} is not a {what} "
+            f"(expected {magic!r})"
+        )
+    start = len(magic) + _LENGTH.size
+    if len(view) < start:
+        raise SerializationError(
+            f"truncated {what} at offset {len(view)}: need {start} bytes for "
+            f"the header length, have {len(view)}"
+        )
+    (length,) = _LENGTH.unpack_from(view, len(magic))
+    if length > len(view) - start:
+        raise SerializationError(
+            f"truncated {what} at offset {len(view)}: header declares {length} "
+            f"bytes but only {len(view) - start} remain after offset {start}"
+        )
+    end = start + length
+    try:
+        document = json.loads(bytes(view[start:end]).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # incl. UTF-8 and JSON errors
+        raise SerializationError(
+            f"corrupt header JSON of a {what} in bytes [{start}, {end}): {exc}"
+        ) from exc
+    if not isinstance(document, dict):
+        raise SerializationError(
+            f"corrupt header JSON of a {what} in bytes [{start}, {end}): "
+            f"expected an object, got {type(document).__name__}"
+        )
+    return view, document, end
+
+
+def _pack_prefix(magic: bytes, document: dict) -> bytes:
+    """``magic | u64 length | JSON``, space-padded to an 8-aligned end."""
+    encoded = json.dumps(document, sort_keys=True).encode("utf-8")
+    encoded += b" " * _pad_to(len(magic) + _LENGTH.size + len(encoded))
+    return magic + _LENGTH.pack(len(encoded)) + encoded
+
+
+# --------------------------------------------------------------------- #
+# blobs: accumulator states and reports
+# --------------------------------------------------------------------- #
+def pack_blob(header: dict, arrays: Mapping[str, np.ndarray] = ()) -> bytes:
     """Serialize a JSON-able header plus named numeric arrays to bytes.
 
     ``header`` must be JSON serializable (Python's ``json`` keeps integer
     values exact at arbitrary precision, which the exact accumulators rely
-    on).  ``arrays`` values are written as raw ``.npy`` blocks; object
-    dtypes are rejected.  ``version`` selects the magic tag: 1 (default)
-    for accumulator/report payloads, 2 for engine envelopes.
+    on).  Each array is written raw at an 8-byte-aligned body offset; its
+    dtype must be one of ``bool``, ``uint8``, ``int64`` or ``float64``.
     """
-    try:
-        magic = {1: MAGIC, 2: MAGIC_V2}[version]
-    except KeyError:
-        raise SerializationError(
-            f"unknown serialization format version {version!r}; "
-            f"this build writes versions 1 and 2"
-        ) from None
-    arrays = dict(arrays or {})
-    body = io.BytesIO()
-    for name, array in arrays.items():
-        np.lib.format.write_array(
-            body, np.ascontiguousarray(array), allow_pickle=False
+    table: List[dict] = []
+    chunks: List[object] = []
+    size = 0
+    for name, array in dict(arrays or {}).items():
+        array = np.ascontiguousarray(array)
+        if array.dtype.str.startswith(">"):
+            array = array.astype(array.dtype.newbyteorder("<"))
+        if array.dtype.str not in _DTYPES:
+            raise SerializationError(
+                f"cannot pack array {name!r} of dtype {array.dtype}; a blob "
+                f"holds only {sorted(_DTYPES)}"
+            )
+        padding = _pad_to(size)
+        chunks.append(bytes(padding))
+        size += padding
+        table.append(
+            {
+                "name": str(name),
+                "dtype": array.dtype.str,
+                "shape": list(array.shape),
+                "offset": size,
+            }
         )
-    document = {"header": header, "arrays": list(arrays)}
-    encoded = json.dumps(document, sort_keys=True).encode("utf-8")
-    return magic + _LENGTH.pack(len(encoded)) + encoded + body.getvalue()
+        chunks.append(array)
+        size += array.nbytes
+    prefix = _pack_prefix(MAGIC, {"header": header, "arrays": table})
+    return b"".join([prefix, *chunks])
 
 
-def _sniff_magic(data: bytes) -> int:
-    """The format version of ``data``'s magic tag, or a loud failure."""
-    for magic, version in _MAGICS.items():
-        if data.startswith(magic):
-            return version
-    preview = bytes(data[: len(MAGIC)])
-    raise SerializationError(
-        f"bad magic at offset 0: {preview!r} is not a packed repro "
-        f"state/report/envelope (expected {MAGIC!r} or {MAGIC_V2!r})"
-    )
-
-
-def blob_version(data: bytes) -> int:
-    """Format version (1 or 2) of a packed blob, via its magic tag."""
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise SerializationError(f"expected bytes, got {type(data).__name__}")
-    return _sniff_magic(bytes(data))
-
-
-def _decode_document(data) -> Tuple[bytes, dict, int]:
-    """Shared front half of decoding: magic, length field, JSON document.
-
-    Returns ``(data, document, body_offset)`` where ``body_offset`` is the
-    position of the first npy block.
-    """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
+def _blob_document(data) -> Tuple[memoryview, dict, list, int]:
+    """Decode a blob's prefix; return ``(view, header, table, body)``."""
+    view, document, body = _read_prefix(data, MAGIC, "packed repro state/report")
+    where = f"corrupt header JSON in bytes [{len(MAGIC) + _LENGTH.size}, {body})"
+    header = document.get("header", {})
+    if not isinstance(header, dict):
         raise SerializationError(
-            f"expected bytes, got {type(data).__name__}"
+            f"{where}: 'header' must be an object, got {type(header).__name__}"
         )
-    data = bytes(data)
-    _sniff_magic(data)
-    offset = len(MAGIC)
-    if len(data) < offset + _LENGTH.size:
+    table = document.get("arrays", [])
+    if not isinstance(table, list):
         raise SerializationError(
-            f"truncated blob at offset {len(data)}: need {offset + _LENGTH.size} "
-            f"bytes for the header length, have {len(data)}"
+            f"{where}: 'arrays' must be a list of array descriptors, got "
+            f"{type(table).__name__}"
         )
-    (header_length,) = _LENGTH.unpack_from(data, offset)
-    offset += _LENGTH.size
-    if header_length > len(data) - offset:
-        raise SerializationError(
-            f"truncated blob at offset {len(data)}: header declares "
-            f"{header_length} bytes but only {len(data) - offset} remain "
-            f"after offset {offset}"
-        )
-    try:
-        document = json.loads(data[offset : offset + header_length].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(
-            f"corrupt header JSON in bytes [{offset}, {offset + header_length}): {exc}"
-        ) from exc
-    if not isinstance(document, dict):
-        raise SerializationError(
-            f"corrupt header JSON in bytes [{offset}, {offset + header_length}): "
-            f"expected an object, got {type(document).__name__}"
-        )
-    if not isinstance(document.get("header", {}), dict):
-        raise SerializationError(
-            f"corrupt header JSON in bytes [{offset}, {offset + header_length}): "
-            f"'header' must be an object, "
-            f"got {type(document['header']).__name__}"
-        )
-    names = document.get("arrays", [])
-    if not isinstance(names, list) or not all(
-        isinstance(name, str) for name in names
-    ):
-        raise SerializationError(
-            f"corrupt header JSON in bytes [{offset}, {offset + header_length}): "
-            "'arrays' must be a list of names"
-        )
-    return data, document, offset + header_length
+    return view, header, table, body
 
 
-def peek_header(data: bytes) -> dict:
+def peek_header(data) -> dict:
     """Decode only the JSON header of a packed blob (arrays untouched).
 
     Cheap dispatch helper: lets callers route a blob by ``file_kind`` /
-    ``state_kind`` without paying for the array blocks.
+    ``state_kind`` without viewing a single array.
     """
-    _, document, _ = _decode_document(data)
-    return document.get("header", {})
+    return _blob_document(data)[1]
 
 
-def unpack_blob(data: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
+def _corrupt_descriptor(index: int, entry, body: int, reason: str) -> SerializationError:
+    return SerializationError(
+        f"corrupt array descriptor {index} ({entry!r}) of a blob whose body "
+        f"starts at offset {body}: {reason}"
+    )
+
+
+def _view_array(
+    view: memoryview, body: int, index: int, entry, arrays: Dict[str, np.ndarray]
+) -> Tuple[str, np.ndarray, int]:
+    """Validate one array descriptor; return ``(name, array, end)``."""
+    if not isinstance(entry, dict):
+        raise _corrupt_descriptor(index, entry, body, "expected an object")
+    name = entry.get("name")
+    if not isinstance(name, str) or name in arrays:
+        raise _corrupt_descriptor(
+            index, entry, body, "the name must be a string no other array uses"
+        )
+    dtype = entry.get("dtype")
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise _corrupt_descriptor(
+            index, entry, body, f"the dtype must be one of {sorted(_DTYPES)}"
+        )
+    itemsize = _DTYPES[dtype].itemsize
+    shape = entry.get("shape")
+    if (
+        not isinstance(shape, list)
+        or len(shape) > _MAX_NDIM
+        or not all(type(size) is int and size >= 0 for size in shape)
+        or math.prod(size or 1 for size in shape) * itemsize >= _MAX_EXTENT
+    ):
+        raise _corrupt_descriptor(
+            index,
+            entry,
+            body,
+            f"the shape must be a list of at most {_MAX_NDIM} non-negative "
+            "ints whose byte size fits",
+        )
+    offset = entry.get("offset")
+    if type(offset) is not int or offset < 0 or (body + offset) % _ALIGN:
+        raise _corrupt_descriptor(
+            index, entry, body, f"the offset must be a non-negative multiple of {_ALIGN}"
+        )
+    count = math.prod(shape)
+    end = offset + count * itemsize
+    if end > len(view) - body:
+        raise _corrupt_descriptor(
+            index,
+            entry,
+            body,
+            f"the array ends at offset {body + end}, past the end of the "
+            f"{len(view)}-byte blob",
+        )
+    array = np.frombuffer(view, dtype=_DTYPES[dtype], count=count, offset=body + offset)
+    return name, array.reshape(shape), end
+
+
+def unpack_blob(data) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Inverse of :func:`pack_blob`: return ``(header, arrays)``.
 
-    Accepts both v1 payloads and v2 envelopes (the physical layout is
-    identical); use :func:`blob_version` when the version matters.
+    ``data`` may be bytes or any byte buffer (a memory map, a nested
+    child's ``uint8`` array).  The arrays are read-only views into it;
+    callers that keep or mutate them copy.
     """
-    data, document, body_offset = _decode_document(data)
-    body = io.BytesIO(data[body_offset:])
+    view, header, table, body = _blob_document(data)
     arrays: Dict[str, np.ndarray] = {}
-    for name in document.get("arrays", []):
-        block_offset = body_offset + body.tell()
-        try:
-            arrays[name] = np.lib.format.read_array(body, allow_pickle=False)
-        except Exception as exc:  # numpy raises several internal types here
-            raise SerializationError(
-                f"corrupt array block {name!r} at offset {block_offset}: {exc}"
-            ) from exc
-    return document.get("header", {}), arrays
+    end = 0
+    for index, entry in enumerate(table):
+        name, arrays[name], array_end = _view_array(view, body, index, entry, arrays)
+        end = max(end, array_end)
+    if body + end != len(view):
+        raise SerializationError(
+            f"corrupt blob: its arrays end at offset {body + end} but the "
+            f"blob is {len(view)} bytes long"
+        )
+    return header, arrays
+
+
+def pack_child(child_bytes: bytes) -> np.ndarray:
+    """View packed child bytes as a ``uint8`` array for nesting in a blob."""
+    return np.frombuffer(child_bytes, dtype=np.uint8)
+
+
+def unpack_child(array: np.ndarray) -> memoryview:
+    """A zero-copy byte view of a nested child blob from its ``uint8`` array."""
+    return _byte_view(array)
 
 
 # --------------------------------------------------------------------- #
@@ -249,13 +340,12 @@ def pack_report_batch(spec, reports) -> bytes:
                      | (u64 frame length | report bytes) * count
 
     ``reports`` is an iterable of :class:`~repro.core.session.Report`
-    instances (or their already-packed bytes); each report stays in the
-    existing pickle-free v1 layout, so the frame is a pure container --
-    the gateway can split and fan frames out to shard workers without
-    decoding a single array.  The header records ``count`` and the total
-    ``n_users`` so receivers can account for a batch from the header
-    alone (for packed bytes the user count is peeked from each report's
-    own header).
+    instances (or their already-packed bytes); each report stays a packed
+    blob, so the frame is a pure container -- the gateway can split and
+    fan frames out to shard workers without decoding a single array.
+    The header records ``count`` and the total ``n_users`` so receivers
+    can account for a batch from the header alone (for packed bytes the
+    user count is peeked from each report's own header).
     """
     frames: list = []
     n_users = 0
@@ -291,56 +381,21 @@ def pack_report_batch(spec, reports) -> bytes:
     return bytes(out)
 
 
-def _decode_batch_header(data) -> Tuple[bytes, dict, int]:
-    """Front half of batch decoding: magic, length field, JSON header.
-
-    Returns ``(data, header, frames_offset)``.
-    """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise SerializationError(f"expected bytes, got {type(data).__name__}")
-    data = bytes(data)
-    if not data.startswith(MAGIC_BATCH):
-        preview = bytes(data[: len(MAGIC_BATCH)])
+def _read_batch_header(data) -> Tuple[memoryview, dict, int]:
+    """A batch's prefix plus its kind and count checks."""
+    view, header, offset = _read_prefix(data, MAGIC_BATCH, "framed report batch")
+    if header.get("batch_kind") != REPORT_BATCH_KIND:
         raise SerializationError(
-            f"bad magic at offset 0: {preview!r} is not a framed report "
-            f"batch (expected {MAGIC_BATCH!r})"
-        )
-    offset = len(MAGIC_BATCH)
-    if len(data) < offset + _LENGTH.size:
-        raise SerializationError(
-            f"truncated report batch at offset {len(data)}: need "
-            f"{offset + _LENGTH.size} bytes for the header length, have {len(data)}"
-        )
-    (header_length,) = _LENGTH.unpack_from(data, offset)
-    offset += _LENGTH.size
-    if header_length > len(data) - offset:
-        raise SerializationError(
-            f"truncated report batch at offset {len(data)}: header declares "
-            f"{header_length} bytes but only {len(data) - offset} remain "
-            f"after offset {offset}"
-        )
-    try:
-        header = json.loads(data[offset : offset + header_length].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(
-            f"corrupt batch header JSON in bytes "
-            f"[{offset}, {offset + header_length}): {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("batch_kind") != REPORT_BATCH_KIND:
-        kind = header.get("batch_kind") if isinstance(header, dict) else None
-        raise SerializationError(
-            f"corrupt batch header JSON in bytes "
-            f"[{offset}, {offset + header_length}): batch_kind "
-            f"{kind!r} is not {REPORT_BATCH_KIND!r}"
+            f"corrupt report batch header: batch_kind "
+            f"{header.get('batch_kind')!r} is not {REPORT_BATCH_KIND!r}"
         )
     count = header.get("count")
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise SerializationError(
-            f"corrupt batch header JSON in bytes "
-            f"[{offset}, {offset + header_length}): 'count' must be a "
-            f"non-negative integer, got {count!r}"
+            f"corrupt report batch header: 'count' must be a non-negative "
+            f"integer, got {count!r}"
         )
-    return data, header, offset + header_length
+    return view, header, offset
 
 
 def report_batch_header(data) -> dict:
@@ -350,8 +405,7 @@ def report_batch_header(data) -> dict:
     ``protocol`` spec and reads ``count`` / ``n_users`` from here without
     touching the report frames.
     """
-    _, header, _ = _decode_batch_header(data)
-    return header
+    return _read_batch_header(data)[1]
 
 
 def unpack_report_batch(data) -> Tuple[dict, List[bytes]]:
@@ -363,30 +417,30 @@ def unpack_report_batch(data) -> Tuple[dict, List[bytes]]:
     last frame all raise :class:`SerializationError` with the offending
     byte offset.
     """
-    data, header, offset = _decode_batch_header(data)
+    view, header, offset = _read_batch_header(data)
     count = header["count"]
     frames: List[bytes] = []
     for index in range(count):
-        if len(data) - offset < _LENGTH.size:
+        if len(view) - offset < _LENGTH.size:
             raise SerializationError(
                 f"truncated report batch at offset {offset}: need "
                 f"{_LENGTH.size} bytes for the length of frame "
-                f"{index}/{count}, have {len(data) - offset}"
+                f"{index}/{count}, have {len(view) - offset}"
             )
-        (frame_length,) = _LENGTH.unpack_from(data, offset)
+        (frame_length,) = _LENGTH.unpack_from(view, offset)
         offset += _LENGTH.size
-        if frame_length > len(data) - offset:
+        if frame_length > len(view) - offset:
             raise SerializationError(
                 f"truncated report batch at offset {offset}: frame "
                 f"{index}/{count} declares {frame_length} bytes but only "
-                f"{len(data) - offset} remain"
+                f"{len(view) - offset} remain"
             )
-        frames.append(data[offset : offset + frame_length])
+        frames.append(bytes(view[offset : offset + frame_length]))
         offset += frame_length
-    if offset != len(data):
+    if offset != len(view):
         raise SerializationError(
             f"trailing garbage after frame {count - 1}/{count}: "
-            f"{len(data) - offset} unexpected bytes at offset {offset}"
+            f"{len(view) - offset} unexpected bytes at offset {offset}"
         )
     return header, frames
 
@@ -396,8 +450,6 @@ def unpack_report_batch(data) -> Tuple[dict, List[bytes]]:
 # --------------------------------------------------------------------- #
 #: ``wal_kind`` tag every WAL segment declares in its header.
 WAL_SEGMENT_KIND = "ingest-wal"
-
-_CRC = struct.Struct("<I")
 
 
 def pack_wal_segment_header(epoch: int, extra: Optional[dict] = None) -> bytes:
@@ -422,42 +474,13 @@ def read_wal_segment_header(data) -> Tuple[dict, int]:
     written in one small atomic-in-practice append before any record, so
     a torn header means the file is not a WAL segment at all.
     """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise SerializationError(f"expected bytes, got {type(data).__name__}")
-    data = bytes(data)
-    if not data.startswith(MAGIC_WAL):
-        preview = bytes(data[: len(MAGIC_WAL)])
+    _, header, offset = _read_prefix(data, MAGIC_WAL, "WAL segment")
+    if header.get("wal_kind") != WAL_SEGMENT_KIND:
         raise SerializationError(
-            f"bad magic at offset 0: {preview!r} is not a WAL segment "
-            f"(expected {MAGIC_WAL!r})"
+            f"corrupt WAL segment header: wal_kind {header.get('wal_kind')!r} "
+            f"is not {WAL_SEGMENT_KIND!r}"
         )
-    offset = len(MAGIC_WAL)
-    if len(data) < offset + _LENGTH.size:
-        raise SerializationError(
-            f"truncated WAL segment at offset {len(data)}: need "
-            f"{offset + _LENGTH.size} bytes for the header length"
-        )
-    (header_length,) = _LENGTH.unpack_from(data, offset)
-    offset += _LENGTH.size
-    if header_length > len(data) - offset:
-        raise SerializationError(
-            f"truncated WAL segment at offset {len(data)}: header declares "
-            f"{header_length} bytes but only {len(data) - offset} remain"
-        )
-    try:
-        header = json.loads(data[offset : offset + header_length].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(
-            f"corrupt WAL segment header in bytes "
-            f"[{offset}, {offset + header_length}): {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("wal_kind") != WAL_SEGMENT_KIND:
-        kind = header.get("wal_kind") if isinstance(header, dict) else None
-        raise SerializationError(
-            f"corrupt WAL segment header: wal_kind {kind!r} is not "
-            f"{WAL_SEGMENT_KIND!r}"
-        )
-    return header, offset + header_length
+    return header, offset
 
 
 def pack_wal_record(meta: dict, blob: bytes) -> bytes:
@@ -523,16 +546,6 @@ def scan_wal_segment(data) -> Tuple[dict, List[Tuple[dict, bytes]], Optional[int
 #: ``seg_kind`` tag every epoch segment declares in its header.
 EPOCH_SEGMENT_KIND = "epoch-segment"
 
-#: Layout version of the epoch-segment contents.
-EPOCH_SEGMENT_FORMAT = 1
-
-_SEG_ALIGN = 8
-
-
-def _pad_to(length: int, align: int = _SEG_ALIGN) -> int:
-    """Bytes of padding needed to advance ``length`` to a multiple of ``align``."""
-    return (-length) % align
-
 
 def pack_epoch_segment(
     epoch: int,
@@ -540,48 +553,29 @@ def pack_epoch_segment(
     state_blob: bytes,
     *,
     n_reports: int = 0,
-    pushdown: Optional[dict] = None,
     aggregate: Optional[dict] = None,
 ) -> bytes:
     """Frame one sealed epoch for the out-of-core store.
 
-    ``MAGIC_SEG | u64 header length | JSON header | body | u32 crc32``
+    ``MAGIC_SEG | u64 header length | JSON header | state blob | u32 crc32``
     where the CRC covers every byte before it, so torn tails and bit
-    flips are detected before any content is trusted.  The body holds
-    the epoch's packed v1 accumulator ``state_blob`` followed by the
-    optional *pushdown* region: the raw little-endian int64 sufficient
-    statistic vectors of each oracle child, 8-byte aligned so a reader
-    can view them zero-copy straight out of a memory map.  All offsets
-    in the header are relative to the body start; the header JSON is
-    space-padded so the body itself starts 8-byte aligned.
-
-    ``pushdown`` (optional) is a plain-data description of the state::
-
-        {"label": ..., "config": {...}, "n_users": N,
-         "children": [{"oracle_kind": ..., "config": {...},
-                       "n_reports": N, "vectors": {name: int64 array}}]}
-
-    Summing the pushdown vectors of many segments elementwise is exactly
-    the accumulator merge (integer addition is associative and
-    commutative), which is what makes store-backed windowed queries
-    bit-identical to the in-RAM merge path.
+    flips are detected before any content is trusted.  The header JSON
+    is space-padded so the state blob -- and with it every array inside
+    it, at any nesting depth -- lands 8-byte aligned in the file, which
+    lets a reader view the count vectors straight out of a memory map.
 
     ``aggregate`` (optional) marks the segment as a *pre-merged
     aggregate* over ``{"level": L, "start": S, "count": 2**L}``
     consecutive epochs rather than a single sealed epoch; ``epoch`` is
     then the block start ``S``.  Aggregates reuse the exact same framing
-    so every reader (CRC check, state decode, pushdown views) applies
+    so every reader (CRC check, state decode, gathered views) applies
     unchanged.
     """
-    state_blob = bytes(state_blob)
-    body = bytearray(state_blob)
     header: dict = {
         "seg_kind": EPOCH_SEGMENT_KIND,
-        "format": EPOCH_SEGMENT_FORMAT,
         "epoch": int(epoch),
         "spec_hash": str(spec_hash),
         "n_reports": int(n_reports),
-        "state": {"offset": 0, "length": len(state_blob)},
     }
     if aggregate is not None:
         header["aggregate"] = {
@@ -589,41 +583,8 @@ def pack_epoch_segment(
             "start": int(aggregate["start"]),
             "count": int(aggregate["count"]),
         }
-    if pushdown is not None:
-        body += b"\x00" * _pad_to(len(body))
-        children = []
-        for child in pushdown.get("children", []):
-            vectors = []
-            for name, vector in child["vectors"].items():
-                vector = np.ascontiguousarray(vector, dtype="<i8")
-                offset = len(body)
-                body += vector.tobytes()
-                vectors.append(
-                    {"name": str(name), "shape": list(vector.shape), "offset": offset}
-                )
-            children.append(
-                {
-                    "oracle_kind": child["oracle_kind"],
-                    "config": child["config"],
-                    "n_reports": int(child["n_reports"]),
-                    "vectors": vectors,
-                }
-            )
-        header["pushdown"] = {
-            "label": pushdown["label"],
-            "config": pushdown["config"],
-            "n_users": int(pushdown["n_users"]),
-            "children": children,
-        }
-    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-    # Pad the header (JSON tolerates trailing spaces) so the body -- and
-    # with it every vector offset -- lands 8-byte aligned in the file.
-    prefix = len(MAGIC_SEG) + _LENGTH.size
-    encoded += b" " * _pad_to(prefix + len(encoded))
-    out = bytearray(MAGIC_SEG)
-    out += _LENGTH.pack(len(encoded))
-    out += encoded
-    out += body
+    out = bytearray(_pack_prefix(MAGIC_SEG, header))
+    out += state_blob
     out += _CRC.pack(zlib.crc32(out))
     return bytes(out)
 
@@ -637,128 +598,41 @@ def read_epoch_segment(data) -> Tuple[dict, int]:
     CRC mismatch (torn or bit-flipped tail) each raise
     :class:`SerializationError` naming what went wrong.
     """
-    try:
-        view = memoryview(data)
-    except TypeError:
-        raise SerializationError(
-            f"expected bytes or a buffer, got {type(data).__name__}"
-        ) from None
+    view = _byte_view(data)
     try:
         return _read_epoch_segment(view)
-    except SerializationError:
-        # Release the view before the exception propagates: a traceback
-        # frame keeps locals alive, and a still-exported view would stop
-        # the caller from closing a memory map it is validating.
+    finally:
+        # Release the view before returning or raising: a still-exported
+        # view (kept alive by a traceback frame, say) would stop the
+        # caller from closing a memory map it is validating.
         view.release()
-        raise
 
 
 def _read_epoch_segment(view: memoryview) -> Tuple[dict, int]:
-    if len(view) < len(MAGIC_SEG) or bytes(view[: len(MAGIC_SEG)]) != MAGIC_SEG:
-        preview = bytes(view[: len(MAGIC_SEG)])
-        raise SerializationError(
-            f"bad magic at offset 0: {preview!r} is not an epoch segment "
-            f"(expected {MAGIC_SEG!r})"
-        )
-    offset = len(MAGIC_SEG)
-    if len(view) < offset + _LENGTH.size + _CRC.size:
+    if len(view) < len(MAGIC_SEG) + _LENGTH.size + _CRC.size:
         raise SerializationError(
             f"truncated epoch segment: {len(view)} bytes is too short to "
             "hold the header length and trailing CRC (torn tail?)"
         )
-    (header_length,) = _LENGTH.unpack_from(view, offset)
-    offset += _LENGTH.size
-    if header_length > len(view) - offset - _CRC.size:
-        raise SerializationError(
-            f"truncated epoch segment: header declares {header_length} bytes "
-            f"but only {len(view) - offset - _CRC.size} remain before the CRC "
-            "(torn tail?)"
-        )
-    (stored_crc,) = _CRC.unpack_from(view, len(view) - _CRC.size)
-    actual_crc = zlib.crc32(view[: len(view) - _CRC.size])
+    limit = len(view) - _CRC.size
+    with view[:limit] as framed:
+        _, header, body_offset = _read_prefix(framed, MAGIC_SEG, "epoch segment")
+        (stored_crc,) = _CRC.unpack_from(view, limit)
+        actual_crc = zlib.crc32(framed)
     if actual_crc != stored_crc:
         raise SerializationError(
             f"epoch segment failed its CRC check (stored {stored_crc:#010x}, "
             f"computed {actual_crc:#010x}): torn or corrupt segment tail"
         )
-    try:
-        header = json.loads(bytes(view[offset : offset + header_length]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    if header.get("seg_kind") != EPOCH_SEGMENT_KIND:
         raise SerializationError(
-            f"corrupt epoch segment header in bytes "
-            f"[{offset}, {offset + header_length}): {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("seg_kind") != EPOCH_SEGMENT_KIND:
-        kind = header.get("seg_kind") if isinstance(header, dict) else None
-        raise SerializationError(
-            f"corrupt epoch segment header: seg_kind {kind!r} is not "
-            f"{EPOCH_SEGMENT_KIND!r}"
+            f"corrupt epoch segment header: seg_kind {header.get('seg_kind')!r} "
+            f"is not {EPOCH_SEGMENT_KIND!r}"
         )
-    if int(header.get("format", 0)) != EPOCH_SEGMENT_FORMAT:
-        raise SerializationError(
-            f"epoch segment format {header.get('format')!r} is not supported "
-            f"by this build (expected {EPOCH_SEGMENT_FORMAT})"
-        )
-    return header, offset + header_length
+    return header, body_offset
 
 
-def segment_state_bytes(data, header: dict, body_offset: int) -> bytes:
-    """The packed v1 accumulator state embedded in a validated segment."""
-    view = memoryview(data)
-    state = header.get("state", {})
-    start = body_offset + int(state.get("offset", 0))
-    length = int(state.get("length", -1))
-    if length < 0 or start + length > len(view) - _CRC.size:
-        raise SerializationError(
-            f"epoch segment state descriptor {state!r} points outside the body"
-        )
-    return bytes(view[start : start + length])
-
-
-def segment_pushdown_children(data, header: dict, body_offset: int) -> List[dict]:
-    """Zero-copy views of a validated segment's pushdown vectors.
-
-    Returns one dict per oracle child -- ``oracle_kind``, ``config``,
-    ``n_reports`` and ``vectors`` (name -> read-only int64 array viewing
-    the underlying buffer) -- or raises if the segment carries no
-    pushdown region or a descriptor points outside the body.
-    """
-    pushdown = header.get("pushdown")
-    if not isinstance(pushdown, dict):
-        raise SerializationError("epoch segment carries no pushdown region")
-    view = memoryview(data)
-    limit = len(view) - _CRC.size
-    children: List[dict] = []
-    for child in pushdown.get("children", []):
-        vectors: Dict[str, np.ndarray] = {}
-        for descriptor in child.get("vectors", []):
-            shape = tuple(int(size) for size in descriptor["shape"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            start = body_offset + int(descriptor["offset"])
-            if start + 8 * count > limit:
-                raise SerializationError(
-                    f"epoch segment pushdown vector {descriptor!r} points "
-                    "outside the body"
-                )
-            vectors[descriptor["name"]] = np.frombuffer(
-                view, dtype="<i8", count=count, offset=start
-            ).reshape(shape)
-        children.append(
-            {
-                "oracle_kind": child["oracle_kind"],
-                "config": child["config"],
-                "n_reports": int(child["n_reports"]),
-                "vectors": vectors,
-            }
-        )
-    return children
-
-
-def pack_child(child_bytes: bytes) -> np.ndarray:
-    """View packed child bytes as a ``uint8`` array for nesting in a blob."""
-    return np.frombuffer(child_bytes, dtype=np.uint8)
-
-
-def unpack_child(array: np.ndarray) -> bytes:
-    """Recover the packed bytes of a nested child from its ``uint8`` array."""
-    return np.asarray(array, dtype=np.uint8).tobytes()
+def segment_state(data, body_offset: int) -> memoryview:
+    """A zero-copy view of the state blob inside a validated segment."""
+    view = _byte_view(data)
+    return view[body_offset : len(view) - _CRC.size]

@@ -101,7 +101,12 @@ class AccumulatorState(abc.ABC):
 
     @staticmethod
     def from_bytes(data: bytes) -> "AccumulatorState":
-        """Decode any registered accumulator state from its packed bytes."""
+        """Decode any registered accumulator state from its packed bytes.
+
+        ``data`` may be any byte buffer (a memory map, say).  Decoders
+        copy what they keep, so the state is writable and independent of
+        ``data``.
+        """
         header, arrays = unpack_blob(data)
         kind = header.get("state_kind")
         decoder = _STATE_DECODERS.get(kind)

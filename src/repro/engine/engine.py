@@ -498,13 +498,13 @@ class Engine:
         of the live shards and records the window in ``meta["epochs"]``.
 
         On a store-backed engine the sealed part of the window is
-        answered by *query pushdown* when every selected segment carries
-        pre-aggregated vectors: the store plans the window as a cover of
-        power-of-two aggregate segments plus leaves (O(log k) nodes for
-        a contiguous window) and sums the mapped int64 statistics
-        elementwise -- exactly the accumulator merge -- so no sealed
-        epoch is ever fully decoded.  Segments without a pushdown region
-        (e.g. SHE's exact-summation states) fall back to full
+        answered by *query pushdown* when every selected state holds only
+        plain integer oracle children: the store plans the window as a
+        cover of power-of-two aggregate segments plus leaves (O(log k)
+        nodes for a contiguous window) and sums the int64 statistics,
+        viewed in the mapped state blobs, elementwise -- exactly the
+        accumulator merge -- so no sealed epoch is ever fully decoded.
+        Other states (e.g. SHE's exact-summation partials) fall back to full
         load-and-merge; either way the result is bit-identical to an
         all-live merge, and no sealed epoch is re-materialized into the
         engine's epoch map.

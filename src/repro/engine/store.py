@@ -8,25 +8,27 @@ changed); the store avoids both:
 
 * **One segment per epoch.**  Each sealed epoch lives in its own
   CRC-framed file (``epoch-%08d.seg``, see
-  :func:`~repro.core.serialization.pack_epoch_segment`) holding the
-  epoch's packed accumulator state plus an optional *pushdown* region.
-  Segments are written once (tmp + rename + fsync) and never mutated.
-* **A versioned manifest.**  ``MANIFEST.json`` records the store format,
-  the protocol spec and its hash, and one entry per epoch (file name,
-  report count, byte size, pushdown availability, dirty bit).  The
-  manifest is always rewritten *after* the segments it references and
-  fsync'd, so a crash mid-checkpoint leaves the previous consistent
-  manifest in place.
+  :func:`~repro.core.serialization.pack_epoch_segment`) whose body is
+  exactly the epoch's packed accumulator state blob, 8-byte aligned, so
+  the statistics are stored once.  Segments are written once (tmp +
+  rename + fsync) and never mutated.
+* **A versioned manifest.**  ``MANIFEST.json`` records the store format
+  (:data:`MANIFEST_FORMAT`), the protocol spec and its hash, and one
+  entry per epoch (file name, report count, byte size, pushdown
+  capability, dirty bit).  The manifest is always rewritten *after* the
+  segments it references and fsync'd, so a crash mid-checkpoint leaves
+  the previous consistent manifest in place.
 * **Query pushdown.**  For states whose children are all plain integer
-  :class:`~repro.frequency_oracles.base.OracleAccumulator` vectors, the
-  segment stores those int64 vectors raw and 8-byte aligned.  A windowed
-  query then sums the mapped vectors of the selected segments
-  elementwise -- exactly the accumulator merge, because integer addition
-  is associative and commutative -- without decoding a single envelope,
-  so ``estimator(window=last(k))`` over sealed epochs is bit-identical
-  to the in-RAM merge path at a fraction of the work.  States with
-  non-integer children (SHE's exact-summation partials) fall back to a
-  full load-and-merge, which is still exact.
+  :class:`~repro.frequency_oracles.base.OracleAccumulator` vectors, a
+  windowed query views each child's int64 vectors in place inside the
+  mapped state blob (every array of a blob is 8-byte aligned at any
+  nesting depth; the views are decoded once per mapping and cached
+  beside it) and sums them elementwise across the selected segments --
+  exactly the accumulator merge, because integer addition is associative
+  and commutative -- so ``estimator(window=last(k))`` over sealed epochs
+  is bit-identical to the in-RAM merge path at a fraction of the work.
+  States with non-integer children (SHE's exact-summation partials) fall
+  back to a full load-and-merge, which is still exact.
 * **Aggregate segments.**  Sealed segments are immutable, so their sums
   can be materialized once and reused: level-``L`` aggregate segments
   (``agg-L%d-%08d.seg``, same REPROSEG framing, tracked in the manifest)
@@ -61,12 +63,12 @@ import numpy as np
 from repro.core.kernels import resolve_backend
 from repro.core.serialization import (
     MAGIC,
-    MAGIC_V2,
     SerializationError,
     pack_epoch_segment,
     read_epoch_segment,
-    segment_pushdown_children,
-    segment_state_bytes,
+    segment_state,
+    unpack_blob,
+    unpack_child,
 )
 from repro.core.session import (
     AccumulatorState,
@@ -79,8 +81,8 @@ from repro.frequency_oracles.base import OracleAccumulator
 #: ``manifest_kind`` tag of an epoch-store manifest.
 MANIFEST_KIND = "epoch-store"
 
-#: Layout version of the manifest contents.
-MANIFEST_FORMAT = 1
+#: Layout version of the manifest contents; any other version is refused.
+MANIFEST_FORMAT = 2
 
 #: File name of the store manifest inside the store directory.
 MANIFEST_NAME = "MANIFEST.json"
@@ -131,35 +133,108 @@ def _fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def _pushdown_description(state: CompositeAccumulator) -> Optional[dict]:
-    """The plain-data pushdown region for ``state``, or ``None``.
+def _pushdown_capable(state: CompositeAccumulator) -> bool:
+    """Whether ``state``'s children are all plain integer oracle accumulators.
 
-    Only states whose children are all *plain* integer oracle
-    accumulators are eligible: a subclass (e.g. SHE's float-partial
-    exact summation) has statistics a raw int64 vector sum cannot
-    reproduce, so those segments simply omit the region and queries fall
+    Only those can be gathered by summing int64 vectors in place: a
+    subclass (e.g. SHE's float-partial exact summation) has statistics a
+    raw vector sum cannot reproduce, so queries over its segments fall
     back to full state decoding.
     """
-    if not isinstance(state, CompositeAccumulator):
-        return None
-    children = []
-    for child in state.children:
-        if type(child) is not OracleAccumulator:
-            return None
-        children.append(
-            {
-                "oracle_kind": child.oracle_kind,
-                "config": child.config,
-                "n_reports": child.n_reports,
-                "vectors": child.vectors,
-            }
-        )
-    return {
-        "label": state.label,
-        "config": state.config,
-        "n_users": state.n_users,
-        "children": children,
-    }
+    return isinstance(state, CompositeAccumulator) and all(
+        type(child) is OracleAccumulator for child in state.children
+    )
+
+
+def _oracle_views(state: memoryview) -> dict:
+    """The count vectors of a plain-oracle composite state, viewed in place.
+
+    Decodes the array tables of the composite blob and of each child blob
+    -- no vector is copied -- and returns the plain data the gather sums::
+
+        {"label": ..., "config": {...}, "n_users": N,
+         "children": [{"oracle_kind": ..., "config": {...},
+                       "n_reports": N, "vectors": {name: int64 view}}]}
+    """
+    try:
+        header, arrays = unpack_blob(state)
+        if header.get("state_kind") != CompositeAccumulator.state_kind:
+            raise SerializationError(
+                f"state kind {header.get('state_kind')!r} is not a composite"
+            )
+        children = []
+        for index in range(int(header["num_children"])):
+            child, vectors = unpack_blob(unpack_child(arrays[f"child_{index}"]))
+            if child.get("state_kind") != OracleAccumulator.state_kind or any(
+                vector.dtype != np.int64 for vector in vectors.values()
+            ):
+                raise SerializationError(
+                    f"child {index} is not a plain integer oracle accumulator"
+                )
+            children.append(
+                {
+                    "oracle_kind": child["oracle_kind"],
+                    "config": child["config"],
+                    "n_reports": int(child["n_reports"]),
+                    "vectors": vectors,
+                }
+            )
+        return {
+            "label": header["label"],
+            "config": header["config"],
+            "n_users": int(header["n_users"]),
+            "children": children,
+        }
+    except SerializationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"corrupt composite state: {exc!r}") from exc
+
+
+def _close_map(mapped: mmap.mmap) -> None:
+    """Close a map, tolerating still-exported views (GC reclaims them)."""
+    try:
+        mapped.close()
+    except BufferError:  # depends on live views, e.g. in a traceback
+        pass
+
+
+def _same_layout(vectors: Dict[str, np.ndarray], first: Dict[str, np.ndarray]) -> bool:
+    """Whether two children hold the same vector names, order and shapes."""
+    return list(vectors) == list(first) and all(
+        vectors[name].shape == first[name].shape for name in first
+    )
+
+
+class _Segment:
+    """One validated, memory-mapped segment file.
+
+    The oracle views (:func:`_oracle_views`) are decoded on first use and
+    cached beside the map; :meth:`close` drops them before closing the
+    map, so no exported buffer keeps it open.
+    """
+
+    __slots__ = ("mapped", "header", "body_offset", "_views")
+
+    def __init__(self, mapped: mmap.mmap, header: dict, body_offset: int) -> None:
+        self.mapped = mapped
+        self.header = header
+        self.body_offset = body_offset
+        self._views: Optional[dict] = None
+
+    def state(self) -> memoryview:
+        """A zero-copy view of the segment's packed state blob."""
+        return segment_state(self.mapped, self.body_offset)
+
+    def oracle_views(self) -> dict:
+        if self._views is None:
+            self._views = _oracle_views(self.state())
+        return self._views
+
+    def close(self) -> None:
+        """Drop the cached views, then close the map."""
+        self._views = None
+        _close_map(self.mapped)
 
 
 class EpochStore:
@@ -186,12 +261,12 @@ class EpochStore:
             self._reject_regular_file(directory)
         self.directory = directory
         self._entries: Dict[int, dict] = {}
-        self._maps: Dict[int, Tuple[mmap.mmap, dict, int]] = {}
+        self._maps: Dict[int, _Segment] = {}
         self._segments_written = 0
         # Aggregate segments are keyed (level, start); their maps are
         # cached separately from the per-epoch ones.
         self._aggregates: Dict[Tuple[int, int], dict] = {}
-        self._agg_maps: Dict[Tuple[int, int], Tuple[mmap.mmap, dict, int]] = {}
+        self._agg_maps: Dict[Tuple[int, int], _Segment] = {}
         self._aggregates_written = 0
         self._max_aggregate_level = max(0, int(max_aggregate_level))
         self._manifest_dirty = False
@@ -226,10 +301,10 @@ class EpochStore:
         """A store path that is a file is a usage error; name the likely fix."""
         try:
             with open(path, "rb") as handle:
-                magic = handle.read(len(MAGIC_V2))
+                magic = handle.read(len(MAGIC) - 1)
         except OSError:
             magic = b""
-        if magic in (MAGIC, MAGIC_V2):
+        if magic == MAGIC[:-1]:
             raise SerializationError(
                 f"{path} is a packed repro file, not an epoch store "
                 "directory (the monolithic checkpoint format was removed; "
@@ -278,10 +353,11 @@ class EpochStore:
                 f"{manifest.get('manifest_kind') if isinstance(manifest, dict) else None!r} "
                 f"is not {MANIFEST_KIND!r}"
             )
-        if int(manifest.get("format", 0)) != MANIFEST_FORMAT:
+        if manifest.get("format") != MANIFEST_FORMAT:
             raise SerializationError(
-                f"epoch store manifest format {manifest.get('format')!r} is "
-                f"not supported by this build (expected {MANIFEST_FORMAT})"
+                f"epoch store manifest {path} has format "
+                f"{manifest.get('format')!r}, a removed or unknown format; this "
+                f"build reads only format {MANIFEST_FORMAT}"
             )
         spec = manifest.get("protocol")
         if not isinstance(spec, dict):
@@ -418,7 +494,11 @@ class EpochStore:
         return sum(int(entry.get("size", 0)) for entry in self._entries.values())
 
     def supports_pushdown(self, epoch: int) -> bool:
-        """Whether ``epoch``'s segment carries a pushdown region."""
+        """Whether ``epoch``'s state is gathered by summing vectors in place.
+
+        True when every child of the stored state is a plain
+        :class:`~repro.frequency_oracles.base.OracleAccumulator`.
+        """
         return bool(self._entry(epoch).get("pushdown", False))
 
     def _entry(self, epoch: int) -> dict:
@@ -446,13 +526,8 @@ class EpochStore:
         :meth:`save_manifest` once, after every segment is durable.
         """
         epoch = int(epoch)
-        pushdown = _pushdown_description(state)
         blob = pack_epoch_segment(
-            epoch,
-            self._spec_hash,
-            state.to_bytes(),
-            n_reports=state.n_reports,
-            pushdown=pushdown,
+            epoch, self._spec_hash, state.to_bytes(), n_reports=state.n_reports
         )
         name = f"epoch-{epoch:08d}.seg"
         path = os.path.join(self.directory, name)
@@ -471,7 +546,7 @@ class EpochStore:
             "file": name,
             "n_reports": int(state.n_reports),
             "size": len(blob),
-            "pushdown": pushdown is not None,
+            "pushdown": _pushdown_capable(state),
             "dirty": False,
         }
         self._segments_written += 1
@@ -561,6 +636,23 @@ class EpochStore:
             and bool(entry.get("pushdown", False))
         )
 
+    def _block_eligible(self, level: int, start: int) -> bool:
+        """Whether every leaf of block ``(level, start)`` may be aggregated."""
+        half = 1 << (level - 1)
+        # Two present halves vouch for their leaves: an aggregate is
+        # dropped the moment any epoch it covers changes.
+        if all((level - 1, s) in self._aggregates for s in (start, start + half)):
+            return True
+        # Both ends first: during sequential sealing the block's last
+        # epoch is almost always the missing one, so this constant-time
+        # probe skips the full scan.
+        end = start + 2 * half
+        return (
+            self._aggregate_eligible(start)
+            and self._aggregate_eligible(end - 1)
+            and all(self._aggregate_eligible(epoch) for epoch in range(start, end))
+        )
+
     def build_aggregates(self, epochs: Optional[Sequence[int]] = None) -> int:
         """Materialize every missing aggregate block that is now complete.
 
@@ -569,8 +661,9 @@ class EpochStore:
         whole store is swept (the ``checkpoint()`` form).  A block is
         built when every leaf in it has a clean, pushdown-capable
         segment; levels build bottom-up so a level-L block sums its two
-        level-(L-1) halves rather than 2**L leaves.  Returns the number
-        of aggregates written.
+        level-(L-1) halves rather than 2**L leaves -- a half built earlier
+        in the same sweep straight from memory, any other half gathered
+        from its segments.  Returns the number of aggregates written.
         """
         if self._max_aggregate_level < 1:
             return 0
@@ -581,52 +674,44 @@ class EpochStore:
         else:
             candidates = [int(epoch) for epoch in epochs]
         built = 0
+        fresh: Dict[Tuple[int, int], CompositeAccumulator] = {}
+        starts = candidates
         for level in range(1, self._max_aggregate_level + 1):
-            size = 1 << level
-            starts = sorted({(epoch // size) * size for epoch in candidates})
+            size, half = 1 << level, 1 << (level - 1)
+            # Each level's block starts are the previous level's, halved.
+            starts = sorted({(start // size) * size for start in starts})
             for start in starts:
-                if (level, start) in self._aggregates:
-                    continue
-                # Both ends first: during sequential sealing the block's
-                # last epoch is almost always the missing one, so this
-                # constant-time probe skips the full scan.
-                if not (
-                    self._aggregate_eligible(start)
-                    and self._aggregate_eligible(start + size - 1)
+                if (level, start) in self._aggregates or not self._block_eligible(
+                    level, start
                 ):
                     continue
-                if not all(
-                    self._aggregate_eligible(epoch)
-                    for epoch in range(start, start + size)
-                ):
-                    continue
-                self._write_aggregate(level, start)
+                left, right = (
+                    fresh.pop((level - 1, s), None)
+                    or self._gather_window(range(s, s + half))
+                    for s in (start, start + half)
+                )
+                state = left.merge(right)
+                self._write_aggregate(level, start, state)
+                fresh[(level, start)] = state
                 built += 1
         return built
 
-    def _write_aggregate(self, level: int, start: int) -> str:
-        """Materialize one aggregate block from its children.
+    def _write_aggregate(
+        self, level: int, start: int, state: CompositeAccumulator
+    ) -> None:
+        """Persist the merged ``state`` of block ``(level, start)``.
 
-        The merged state is gathered through :meth:`pushdown_state`, so
-        a level-L build reuses the level-(L-1) aggregates the bottom-up
-        sweep just wrote.  Unlike leaf segments, aggregates are staged
-        and renamed but **not** fsync'd: they are derived data, cheap to
-        rebuild and validated by CRC on read, and skipping the fsync
-        keeps incremental checkpoints O(dirty) in *durable* writes.
+        Unlike leaf segments, aggregates are staged and renamed but
+        **not** fsync'd: they are derived data, cheap to rebuild and
+        validated by CRC on read, and skipping the fsync keeps
+        incremental checkpoints O(dirty) in *durable* writes.
         """
         size = 1 << level
-        state = self.pushdown_state(range(start, start + size))
-        if state is None:  # pragma: no cover - guarded by eligibility checks
-            raise SerializationError(
-                f"aggregate block L{level} @ {start} has no pushdown-capable "
-                "cover"
-            )
         blob = pack_epoch_segment(
             start,
             self._spec_hash,
             state.to_bytes(),
             n_reports=state.n_reports,
-            pushdown=_pushdown_description(state),
             aggregate={"level": level, "start": start, "count": size},
         )
         name = f"agg-L{level}-{start:08d}.seg"
@@ -643,27 +728,19 @@ class EpochStore:
         self._drop_agg_map(key)
         self._aggregates[key] = {
             "file": name,
-            "level": level,
-            "start": start,
-            "count": size,
             "n_reports": int(state.n_reports),
             "size": len(blob),
         }
         self._aggregates_written += 1
         self._manifest_dirty = True
-        return path
 
     def _invalidate_aggregates(self, epoch: int) -> None:
         """Drop every aggregate whose block covers ``epoch``."""
         if not self._aggregates:
             return
-        doomed = [
-            key
-            for key in self._aggregates
-            if key[1] <= epoch < key[1] + (1 << key[0])
-        ]
-        for key in doomed:
-            self._discard_aggregate(key)
+        # One candidate block per level; 2**63 epochs bound any block.
+        for level in range(64):
+            self._discard_aggregate((level, (epoch >> level) << level))
 
     def _discard_aggregate(self, key: Tuple[int, int]) -> None:
         """Forget one aggregate and best-effort unlink its file."""
@@ -681,9 +758,9 @@ class EpochStore:
     def _drop_agg_map(self, key: Tuple[int, int]) -> None:
         cached = self._agg_maps.pop(key, None)
         if cached is not None:
-            self._close_map(cached[0])
+            cached.close()
 
-    def _map_aggregate(self, level: int, start: int) -> Tuple[mmap.mmap, dict, int]:
+    def _map_aggregate(self, level: int, start: int) -> _Segment:
         """Memory-map and validate one aggregate segment (cached)."""
         key = (int(level), int(start))
         cached = self._agg_maps.get(key)
@@ -696,48 +773,23 @@ class EpochStore:
                 f"{self.directory}"
             )
         path = os.path.join(self.directory, str(entry["file"]))
-        try:
-            handle = open(path, "rb")
-        except OSError as exc:
-            raise SerializationError(
-                f"aggregate segment {path} is missing: {exc}"
-            ) from exc
-        with handle:
-            try:
-                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            except (OSError, ValueError) as exc:
-                raise SerializationError(
-                    f"could not map aggregate segment {path}: {exc}"
-                ) from exc
-        try:
-            header, body_offset = read_epoch_segment(mapped)
+
+        def check(header: dict) -> None:
             described = header.get("aggregate")
             if (
                 not isinstance(described, dict)
-                or int(described.get("level", -1)) != key[0]
-                or int(described.get("start", ~key[1])) != key[1]
-                or int(described.get("count", -1)) != 1 << key[0]
+                or described.get("level") != key[0]
+                or described.get("start") != key[1]
+                or described.get("count") != 1 << key[0]
             ):
                 raise SerializationError(
                     f"aggregate segment {path} describes block "
                     f"{described!r}, not L{key[0]} @ {key[1]}"
                 )
-            if header.get("spec_hash") != self._spec_hash:
-                raise SerializationError(
-                    f"aggregate segment {path} was written for a different "
-                    f"protocol configuration: segment spec hash "
-                    f"{header.get('spec_hash')!r} != manifest spec hash "
-                    f"{self._spec_hash!r}"
-                )
-        except SerializationError as exc:
-            self._close_map(mapped)
-            raise SerializationError(
-                f"corrupt aggregate segment at {path}: {exc}"
-            ) from exc
-        except BaseException:  # pragma: no cover - resource hygiene
-            self._close_map(mapped)
-            raise
-        self._agg_maps[key] = (mapped, header, body_offset)
+
+        self._agg_maps[key] = self._open_segment(
+            path, f"aggregate segment {path}", check
+        )
         return self._agg_maps[key]
 
     def plan_window(
@@ -752,77 +804,74 @@ class EpochStore:
     def _drop_map(self, epoch: int) -> None:
         cached = self._maps.pop(int(epoch), None)
         if cached is not None:
-            self._close_map(cached[0])
+            cached.close()
 
-    @staticmethod
-    def _close_map(mapped: mmap.mmap) -> None:
-        """Close a map, tolerating still-exported views (GC reclaims them)."""
-        try:
-            mapped.close()
-        except BufferError:  # pragma: no cover - depends on caller's refs
-            pass
-
-    def _map_segment(self, epoch: int) -> Tuple[mmap.mmap, dict, int]:
-        """Memory-map and validate one segment (cached after first use).
-
-        Validation -- magic, CRC over the whole file, spec hash, epoch
-        stamp -- happens exactly once per mapping; every later zero-copy
-        view rides on it.
-        """
+    def _map_segment(self, epoch: int) -> _Segment:
+        """Memory-map and validate one leaf segment (cached after first use)."""
         epoch = int(epoch)
         cached = self._maps.get(epoch)
         if cached is not None:
             return cached
-        path = self.segment_path(epoch)
+
+        def check(header: dict) -> None:
+            if header.get("epoch") != epoch:
+                raise SerializationError(
+                    f"segment is stamped for epoch {header.get('epoch')!r}, "
+                    f"not epoch {epoch}"
+                )
+
+        self._maps[epoch] = self._open_segment(
+            self.segment_path(epoch), f"segment for epoch {epoch}", check
+        )
+        return self._maps[epoch]
+
+    def _open_segment(self, path: str, label: str, check) -> _Segment:
+        """Map ``path`` and validate it: magic, CRC, spec hash, ``check``.
+
+        Validation happens exactly once per mapping; every later
+        zero-copy view rides on it.  Leaf and aggregate segments share
+        this path and differ only in ``check``.
+        """
         try:
             handle = open(path, "rb")
         except OSError as exc:
             raise SerializationError(
-                f"segment file for epoch {epoch} is missing from the store "
-                f"at {self.directory}: {exc}"
+                f"{label} is missing from the store at {self.directory}: {exc}"
             ) from exc
         with handle:
             try:
                 mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
             except (OSError, ValueError) as exc:
                 raise SerializationError(
-                    f"could not map segment {path} for epoch {epoch}: {exc}"
+                    f"could not map {label} at {path}: {exc}"
                 ) from exc
         try:
             header, body_offset = read_epoch_segment(mapped)
-            if int(header.get("epoch", -1)) != epoch:
-                raise SerializationError(
-                    f"segment {path} is stamped for epoch "
-                    f"{header.get('epoch')!r}, not epoch {epoch}"
-                )
+            check(header)
             if header.get("spec_hash") != self._spec_hash:
                 raise SerializationError(
-                    f"segment {path} for epoch {epoch} was written for a "
-                    f"different protocol configuration: segment spec hash "
+                    f"segment was written for a different protocol "
+                    f"configuration: segment spec hash "
                     f"{header.get('spec_hash')!r} != manifest spec hash "
                     f"{self._spec_hash!r}"
                 )
         except SerializationError as exc:
-            self._close_map(mapped)
-            raise SerializationError(
-                f"corrupt segment for epoch {epoch} at {path}: {exc}"
-            ) from exc
+            _close_map(mapped)
+            raise SerializationError(f"corrupt {label} at {path}: {exc}") from exc
         except BaseException:  # pragma: no cover - resource hygiene
-            self._close_map(mapped)
+            _close_map(mapped)
             raise
-        self._maps[epoch] = (mapped, header, body_offset)
-        return self._maps[epoch]
+        return _Segment(mapped, header, body_offset)
 
     def read_state_bytes(self, epoch: int) -> bytes:
-        """The packed v1 accumulator bytes of one sealed epoch."""
-        mapped, header, body_offset = self._map_segment(epoch)
-        return segment_state_bytes(mapped, header, body_offset)
+        """The packed accumulator bytes of one sealed epoch."""
+        return bytes(self._map_segment(epoch).state())
 
     def load_state(self, epoch: int) -> CompositeAccumulator:
         """Decode one sealed epoch's full accumulator state."""
         epoch = int(epoch)
         try:
-            state = AccumulatorState.from_bytes(self.read_state_bytes(epoch))
+            state = AccumulatorState.from_bytes(self._map_segment(epoch).state())
         except SerializationError as exc:
             raise SerializationError(
                 f"corrupt accumulator state in segment for epoch {epoch}: {exc}"
@@ -848,16 +897,20 @@ class EpochStore:
         :class:`~repro.core.session.CompositeAccumulator` from the
         totals.  A contiguous window backed by a full hierarchy reads
         O(log k) segments instead of k.  Returns ``None`` when any
-        selected segment lacks a pushdown region (the caller falls back
-        to full load-and-merge).  An unreadable *aggregate* is dropped
+        selected epoch is not :meth:`supports_pushdown` (the caller falls
+        back to full load-and-merge).  An unreadable *aggregate* is dropped
         and the window re-planned from its leaves -- aggregates are
         derived data, so their corruption is repaired, not raised.
         """
         epochs = [int(epoch) for epoch in epochs]
-        if not epochs:
+        if not epochs or not all(self.supports_pushdown(e) for e in epochs):
             return None
-        if not all(self.supports_pushdown(epoch) for epoch in epochs):
-            return None
+        return self._gather_window(epochs, use_aggregates)
+
+    def _gather_window(
+        self, epochs: Sequence[int], use_aggregates: bool = True
+    ) -> CompositeAccumulator:
+        """Plan and gather pushdown-capable ``epochs``, repairing aggregates."""
         while True:
             plan = self.plan_window(epochs, use_aggregates=use_aggregates)
             try:
@@ -866,10 +919,13 @@ class EpochStore:
                 self._discard_aggregate(exc.key)
 
     def _gather_plan(self, plan: Sequence[PlanNode]) -> CompositeAccumulator:
-        """Zero-copy gather and sum over one cover plan's segments."""
+        """Zero-copy gather and sum over one cover plan's segments.
+
+        Each node's count vectors are viewed inside its mapped state blob
+        (decoded once per mapping, see :meth:`_Segment.oracle_views`);
+        only the per-vector sums are allocated.
+        """
         base: Optional[dict] = None
-        names: List[List[str]] = []
-        shapes: List[List[tuple]] = []
         views: List[List[List[np.ndarray]]] = []
         child_reports: List[int] = []
         n_users = 0
@@ -878,56 +934,50 @@ class EpochStore:
                 key = (node[1], node[2])
                 label = f"aggregate L{key[0]} @ {key[1]}"
                 try:
-                    mapped, header, body_offset = self._map_aggregate(*key)
-                    children = segment_pushdown_children(mapped, header, body_offset)
+                    state = self._map_aggregate(*key).oracle_views()
                 except SerializationError as exc:
                     raise _AggregateUnusable(key, exc) from exc
             else:
                 label = f"segment for epoch {node[1]}"
-                mapped, header, body_offset = self._map_segment(node[1])
-                children = segment_pushdown_children(mapped, header, body_offset)
-            pushdown = header["pushdown"]
-            if base is None:
-                base = pushdown
-                for child in children:
-                    child_names = list(child["vectors"])
-                    names.append(child_names)
-                    shapes.append(
-                        [child["vectors"][name].shape for name in child_names]
-                    )
-                    views.append(
-                        [
-                            [child["vectors"][name].reshape(-1)]
-                            for name in child_names
-                        ]
-                    )
-                    child_reports.append(child["n_reports"])
-            else:
-                if len(children) != len(views):
+                try:
+                    state = self._map_segment(node[1]).oracle_views()
+                except SerializationError as exc:
                     raise SerializationError(
-                        f"{label} has {len(children)} pushdown children; the "
-                        f"window's first segment has {len(views)}"
+                        f"corrupt accumulator state in {label}: {exc}"
+                    ) from exc
+            children = state["children"]
+            if base is None:
+                base = state
+                views = [
+                    [[vector.reshape(-1)] for vector in child["vectors"].values()]
+                    for child in children
+                ]
+                child_reports = [child["n_reports"] for child in children]
+            else:
+                if len(children) != len(views) or not all(
+                    _same_layout(child["vectors"], first["vectors"])
+                    for child, first in zip(children, base["children"])
+                ):
+                    raise SerializationError(
+                        f"{label} does not match the layout of the window's "
+                        "first node: its oracle children or count vectors differ"
                     )
                 for index, child in enumerate(children):
-                    for position, name in enumerate(names[index]):
-                        views[index][position].append(
-                            child["vectors"][name].reshape(-1)
-                        )
+                    for position, vector in enumerate(child["vectors"].values()):
+                        views[index][position].append(vector.reshape(-1))
                     child_reports[index] += child["n_reports"]
-            n_users += int(pushdown["n_users"])
+            n_users += state["n_users"]
         column_sums = self._kernels.column_sums
         children_states: List[AccumulatorState] = []
-        for index in range(len(views)):
+        for index, child in enumerate(base["children"]):
             vectors = {
-                name: column_sums(views[index][position]).reshape(
-                    shapes[index][position]
-                )
-                for position, name in enumerate(names[index])
+                name: column_sums(views[index][position]).reshape(vector.shape)
+                for position, (name, vector) in enumerate(child["vectors"].items())
             }
             children_states.append(
                 OracleAccumulator(
-                    oracle_kind=base["children"][index]["oracle_kind"],
-                    config=base["children"][index]["config"],
+                    oracle_kind=child["oracle_kind"],
+                    config=child["config"],
                     vectors=vectors,
                     n_reports=child_reports[index],
                 )

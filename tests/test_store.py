@@ -17,6 +17,7 @@ Three guarantees anchor the store layer:
 
 import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -33,8 +34,7 @@ from repro.core.serialization import (
     pack_blob,
     pack_epoch_segment,
     read_epoch_segment,
-    segment_pushdown_children,
-    segment_state_bytes,
+    segment_state,
 )
 from repro.core.session import statistics_spec
 from repro.engine import Engine, EpochStore, last, spec_fingerprint, split_window
@@ -60,43 +60,57 @@ class TestSegmentCodec:
         )
         return engine.session(epoch=0).server.state.to_bytes()
 
-    def test_round_trip_without_pushdown(self):
+    def test_round_trip(self):
         blob = self._state_blob()
         segment = pack_epoch_segment(3, "cafe", blob, n_reports=100)
         header, body_offset = read_epoch_segment(segment)
         assert header["epoch"] == 3
         assert header["spec_hash"] == "cafe"
         assert header["n_reports"] == 100
-        assert segment_state_bytes(segment, header, body_offset) == blob
+        assert bytes(segment_state(segment, body_offset)) == blob
         assert "pushdown" not in header
 
-    def test_round_trip_with_pushdown_vectors(self):
+    def test_segment_is_prefix_plus_state_plus_crc(self):
+        # No vector is written twice: after the 8-aligned prefix comes the
+        # state blob, byte for byte, and then only the 4-byte CRC.
         blob = self._state_blob()
-        vector = np.arange(12, dtype=np.int64).reshape(3, 4)
-        pushdown = {
-            "label": "composite",
-            "config": {"k": 1},
-            "n_users": 100,
-            "children": [
-                {
-                    "oracle_kind": "oue",
-                    "config": {"epsilon": 1.2},
-                    "n_reports": 100,
-                    "vectors": {"counts": vector, "totals": np.array([7], np.int64)},
-                }
-            ],
-        }
-        segment = pack_epoch_segment(0, "cafe", blob, pushdown=pushdown)
-        header, body_offset = read_epoch_segment(segment)
-        children = segment_pushdown_children(segment, header, body_offset)
-        assert len(children) == 1
-        assert children[0]["oracle_kind"] == "oue"
-        assert np.array_equal(children[0]["vectors"]["counts"], vector)
-        assert np.array_equal(children[0]["vectors"]["totals"], [7])
-        # Vectors are mmap-friendly: 8-byte aligned within the file.
-        for child in header["pushdown"]["children"]:
-            for entry in child["vectors"]:
-                assert (body_offset + entry["offset"]) % 8 == 0
+        segment = pack_epoch_segment(0, "cafe", blob, n_reports=100)
+        _, body_offset = read_epoch_segment(segment)
+        assert body_offset % 8 == 0
+        assert segment.startswith(MAGIC_SEG)
+        assert len(segment) == body_offset + len(blob) + 4
+        assert segment[body_offset:-4] == blob
+
+    def test_gather_views_lie_inside_the_mapped_state(self, tmp_path):
+        protocol = make_protocol("hh", 16, 1.2, branching=4)
+        engine = Engine.open(protocol, store_dir=str(tmp_path / "store"))
+        engine.session(epoch=0).absorb(
+            _items_for(protocol, 100, 0), rng=np.random.default_rng(1)
+        )
+        engine.seal_epoch(0)
+        store = engine.store
+        assert store.supports_pushdown(0)
+        segment = store._map_segment(0)
+        base = np.frombuffer(segment.mapped, dtype=np.uint8).ctypes.data
+        state_start = segment.body_offset
+        state_end = len(segment.mapped) - 4
+        decoded = store.load_state(0)
+        views = segment.oracle_views()
+        assert len(views["children"]) == len(decoded.children)
+        for child, state_child in zip(views["children"], decoded.children):
+            assert list(child["vectors"]) == list(state_child.vectors)
+            for name, vector in child["vectors"].items():
+                start = vector.ctypes.data - base
+                assert state_start <= start
+                assert start + vector.nbytes <= state_end
+                assert start % 8 == 0  # 8-aligned in the file
+                assert not vector.flags.writeable
+                assert np.array_equal(vector, state_child.vectors[name])
+        # The views are decoded once per mapping and reused.
+        assert segment.oracle_views() is views
+        del views, child, vector
+        store.close()
+        assert segment.mapped.closed
 
     def test_torn_tail_is_rejected(self):
         segment = pack_epoch_segment(0, "cafe", self._state_blob())
@@ -379,6 +393,33 @@ class TestCorruption:
             from repro.cli import _restore_engine
 
             _restore_engine(str(path))
+
+    def test_format_1_store_names_the_removed_format(self, tmp_path):
+        store_dir = self._store_dir(tmp_path)
+        manifest_path = os.path.join(store_dir, "MANIFEST.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        assert manifest["format"] == 2
+        manifest["format"] = 1
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(SerializationError, match="removed or unknown format"):
+            Engine.open(None, store_dir=store_dir)
+
+    def test_format_1_segment_names_the_removed_format(self, tmp_path):
+        store_dir = self._store_dir(tmp_path)
+        path = os.path.join(store_dir, "epoch-00000001.seg")
+        with open(path, "rb") as fh:
+            segment = bytearray(fh.read())
+        segment[len(MAGIC_SEG) - 1] = 1  # REPROSEG\x01, CRC recomputed
+        segment[-4:] = zlib.crc32(bytes(segment[:-4])).to_bytes(4, "little")
+        with pytest.raises(SerializationError, match="removed format"):
+            read_epoch_segment(bytes(segment))
+        with open(path, "wb") as fh:
+            fh.write(segment)
+        restored = Engine.open(None, store_dir=store_dir)
+        with pytest.raises(SerializationError, match=r"epoch 1.*removed format"):
+            restored.store.load_state(1)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SerializationError, match="MANIFEST"):
